@@ -9,9 +9,9 @@
 //   - "solver_matrix": per (word_lines, policy) wall time of one nominal
 //     read at fast accuracy on a warmed column context (netlist build and
 //     symbolic factorization excluded), with the Step_stats solver
-//     counters (newton_iterations / lu_factorizations / bypass_hits) that
-//     prove WHERE the speedup comes from — bypass must show
-//     lu_factorizations well under newton_iterations.
+//     counters (newton_iterations / lu_factorizations / bypass_hits /
+//     device_evaluations) that prove WHERE the speedup comes from —
+//     bypass must show lu_factorizations well under newton_iterations.
 //   - "agreement_bypass" / "agreement_iterative": fast+bypass and
 //     fast+iterative vs the reference+direct oracle over the canonical
 //     Fig. 4 read set (every patterning option, n up to 1024), both held
@@ -106,7 +106,7 @@ void print_solver_matrix(const std::vector<Matrix_entry>& matrix)
 {
     util::Table table({"word lines", "policy", "wall [s]",
                        "speedup vs direct", "newton iters", "lu factors",
-                       "bypass hits"});
+                       "bypass hits", "device evals"});
     for (const Matrix_entry& e : matrix) {
         table.add_row({std::to_string(e.word_lines),
                        sram::to_string(e.policy),
@@ -114,7 +114,8 @@ void print_solver_matrix(const std::vector<Matrix_entry>& matrix)
                        util::fmt_fixed(e.speedup_vs_direct, 2) + "x",
                        std::to_string(e.steps.newton_iterations),
                        std::to_string(e.steps.lu_factorizations),
-                       std::to_string(e.steps.bypass_hits)});
+                       std::to_string(e.steps.bypass_hits),
+                       std::to_string(e.steps.device_evaluations)});
     }
     std::cout << table.render() << '\n';
 }
@@ -275,7 +276,9 @@ int main(int argc, char** argv)
                 ", \"lu_factorizations\": " +
                 std::to_string(e.steps.lu_factorizations) +
                 ", \"bypass_hits\": " + std::to_string(e.steps.bypass_hits) +
-                "}" + (i + 1 < matrix.size() ? "," : "");
+                ", \"device_evaluations\": " +
+                std::to_string(e.steps.device_evaluations) + "}" +
+                (i + 1 < matrix.size() ? "," : "");
     }
     rows += "\n  ],";
     extra.push_back(rows);

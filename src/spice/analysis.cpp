@@ -305,6 +305,8 @@ Transient_result run_transient(Circuit& circuit,
         counters_after.lu_factorizations - counters_before.lu_factorizations;
     stats.bypass_hits =
         counters_after.bypass_hits - counters_before.bypass_hits;
+    stats.device_evaluations = counters_after.device_evaluations -
+                               counters_before.device_evaluations;
 
     result.set_steps(stats);
     return result;

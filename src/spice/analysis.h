@@ -120,6 +120,7 @@ struct Step_stats {
     long long newton_iterations = 0;
     long long lu_factorizations = 0;  ///< LU factors + ILU(0) refreshes
     long long bypass_hits = 0;        ///< solves on a reused factorization
+    long long device_evaluations = 0; ///< compact-model / companion evals
 
     int total_attempts() const
     {
@@ -134,6 +135,7 @@ struct Step_stats {
         newton_iterations += other.newton_iterations;
         lu_factorizations += other.lu_factorizations;
         bypass_hits += other.bypass_hits;
+        device_evaluations += other.device_evaluations;
         return *this;
     }
 };

@@ -85,6 +85,11 @@ public:
     /// dt, and history are fixed.
     virtual bool stamp_voltage_only() const { return false; }
 
+    /// True when accept_step() updates history state the next stamp()
+    /// reads (capacitor companions).  The engine calls accept_step() only
+    /// on these devices.
+    virtual bool keeps_history() const { return false; }
+
     /// Contribute linearized equations at the current iterate.
     virtual void stamp(Stamper& s, const Eval_context& ctx) const = 0;
 

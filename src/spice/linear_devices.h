@@ -36,6 +36,7 @@ public:
     /// companion-model history; the next DC operating point re-latches it.
     void set_capacitance(double farads);
 
+    bool keeps_history() const override { return true; }
     void stamp(Stamper& s, const Eval_context& ctx) const override;
     void accept_step(const Eval_context& ctx) override;
 

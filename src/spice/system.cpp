@@ -258,6 +258,7 @@ void Mna_system::assemble(const Eval_context& ctx,
     Assembly_stamper stamper(solve_index_, *matrix_, rhs_, voltages);
     for (const auto& dev : circuit_->devices()) {
         dev->stamp(stamper, ctx);
+        count_evaluation(*dev, ctx);
     }
 
     stamp_fixed(ctx, voltages, opts, forces);
@@ -291,6 +292,7 @@ void Mna_system::assemble_reuse(const Eval_context& ctx,
         const Device& dev = *devices[i];
         if (vtol <= 0.0) {
             dev.stamp(fresh, ctx);
+            count_evaluation(dev, ctx);
             continue;
         }
         Device_cache& cache = device_cache_[i];
@@ -318,6 +320,7 @@ void Mna_system::assemble_reuse(const Eval_context& ctx,
         }
         caching.begin(cache);
         dev.stamp(caching, ctx);
+        count_evaluation(dev, ctx);
         if (dev.stamp_voltage_only()) {
             const auto& nodes = dev.nodes();
             cache.v_at_eval.resize(nodes.size());
@@ -330,6 +333,14 @@ void Mna_system::assemble_reuse(const Eval_context& ctx,
     }
 
     stamp_fixed(ctx, voltages, opts, forces);
+}
+
+void Mna_system::count_evaluation(const Device& dev, const Eval_context& ctx)
+{
+    if (dev.is_nonlinear() ||
+        (dev.keeps_history() && ctx.mode == Analysis_mode::transient)) {
+        ++counters_.device_evaluations;
+    }
 }
 
 /// Voltage-independent tail shared by both assembly passes: gmin,

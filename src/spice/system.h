@@ -92,6 +92,10 @@ struct Solver_counters {
     long long newton_iterations = 0;
     long long lu_factorizations = 0;  ///< LU factors + ILU(0) refreshes
     long long bypass_hits = 0;
+    /// Compact-model or companion evaluations: nonlinear devices and
+    /// history devices in transient mode whose stamps were recomputed
+    /// (not replayed) for an assembly.
+    long long device_evaluations = 0;
 };
 
 /// A node temporarily pinned toward a voltage through a conductance
@@ -158,6 +162,7 @@ private:
                         const std::vector<double>& voltages,
                         const Newton_options& opts, bool new_step,
                         std::span<const Forced_node> forces);
+    void count_evaluation(const Device& dev, const Eval_context& ctx);
     void stamp_fixed(const Eval_context& ctx,
                      const std::vector<double>& voltages,
                      const Newton_options& opts,

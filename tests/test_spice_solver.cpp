@@ -4,10 +4,12 @@
 #include "spice/sparse.h"
 
 #include <cmath>
+#include <string>
 #include <vector>
 
 #include <gtest/gtest.h>
 
+#include "core/runner.h"
 #include "spice/analysis.h"
 #include "spice/mosfet_model.h"
 #include "sram/read_sim.h"
@@ -252,6 +254,103 @@ TEST(SolverPolicy, LinearCircuitTiersMatchTightly)
     const std::string probe = c.node_name(prev);
     EXPECT_NEAR(direct.final_value(probe), bypass.final_value(probe),
                 1e-9);
+}
+
+/// A capacitor-free three-stage inverter chain: every counted device
+/// evaluation is a MOSFET compact-model evaluation.
+spice::Circuit inverter_chain()
+{
+    spice::Mosfet_params nm;
+    nm.type = spice::Mosfet_type::nmos;
+    nm = spice::calibrate_beta(nm, 0.7, 40e-6);
+    spice::Mosfet_params pm;
+    pm.type = spice::Mosfet_type::pmos;
+    pm = spice::calibrate_beta(pm, 0.7, 30e-6);
+
+    spice::Circuit c;
+    const spice::Node vdd = c.node("vdd");
+    spice::Node in = c.node("in");
+    c.add_voltage_source("Vdd", vdd, spice::ground_node,
+                         spice::Waveform::dc(0.7));
+    c.add_voltage_source("Vin", in, spice::ground_node,
+                         spice::Waveform::pulse(0.0, 0.7, 50e-12, 20e-12));
+    for (int i = 0; i < 3; ++i) {
+        const std::string k = std::to_string(i);
+        const spice::Node out = c.node("out" + k);
+        const spice::Node next = c.node("in" + std::to_string(i + 1));
+        c.add_mosfet("Mp" + k, out, in, vdd, pm);
+        c.add_mosfet("Mn" + k, out, in, spice::ground_node, nm);
+        c.add_resistor("R" + k, out, next, 2e3);
+        in = next;
+    }
+    c.add_resistor("Rload", in, spice::ground_node, 50e3);
+    return c;
+}
+
+TEST(SolverCounters, MosfetEvaluationsMatchPinnedCounts)
+{
+    // Pinned on the per-device stamp assembly this engine replaced; the
+    // scheduling of compact-model evaluations must not move.
+    spice::Circuit c = inverter_chain();
+    const spice::Node probe = c.find_node("in3");
+    auto run = [&](Solver_policy policy) {
+        spice::Transient_options opts;
+        opts.tstop = 300e-12;
+        opts.nominal_steps = 150;
+        opts.newton.solver = policy;
+        return spice::run_transient(c, {probe}, opts).steps();
+    };
+    const spice::Step_stats direct = run(Solver_policy::direct);
+    const spice::Step_stats bypass = run(Solver_policy::bypass);
+    EXPECT_EQ(direct.device_evaluations, 1926);
+    EXPECT_EQ(bypass.device_evaluations, 160);
+    // Direct evaluates all six MOSFETs on every Newton iteration.
+    EXPECT_EQ(direct.device_evaluations % 6, 0);
+    EXPECT_LT(bypass.device_evaluations, direct.device_evaluations);
+}
+
+TEST(SolverCounters, DeviceEvaluationsAreThreadCountInvariant)
+{
+    // A read_td sweep with per-worker column contexts: worker assignment
+    // (and so which runs reuse a compiled system) varies with the thread
+    // count, the per-run counters must not.
+    const std::vector<int> sizes = {8, 16, 24, 8, 16, 32};
+    std::vector<Read_fixture> fixtures;
+    fixtures.reserve(sizes.size());
+    for (const int n : sizes) fixtures.emplace_back(n);
+
+    for (const Solver_policy policy :
+         {Solver_policy::direct, Solver_policy::bypass}) {
+        auto run = [&](int threads) {
+            std::vector<sram::Read_sim_context> contexts(
+                static_cast<std::size_t>(threads));
+            std::vector<long long> evals(sizes.size(), -1);
+            sram::Read_options opts;
+            opts.accuracy = sram::Sim_accuracy::fast;
+            opts.solver = policy;
+            core::run_indexed(
+                sizes.size(),
+                [&](std::size_t i, const core::Run_context& ctx) {
+                    const Read_fixture& f = fixtures[i];
+                    sram::Read_sim_context& context =
+                        contexts[core::checked_worker(ctx, contexts.size())];
+                    const sram::Read_result r = context.simulate(
+                        f.t, f.cell, f.wires, f.cfg, sram::Read_timing{},
+                        sram::Netlist_options{}, opts);
+                    evals[core::checked_slot(ctx, evals.size())] =
+                        r.steps.device_evaluations;
+                },
+                core::Runner_options{threads, 1});
+            return evals;
+        };
+        const std::vector<long long> serial = run(1);
+        for (const long long e : serial) EXPECT_GT(e, 0);
+        for (const int threads : {2, 8}) {
+            EXPECT_EQ(run(threads), serial)
+                << "policy " << static_cast<int>(policy) << " threads "
+                << threads;
+        }
+    }
 }
 
 } // namespace
