@@ -16,14 +16,14 @@
 //        refreshed on operating-point drift (`bypass_vtol`), dt-band
 //        exit (`bypass_dt_band`), stall (`bypass_stall_iters`), step
 //        rejection, or any forcing stamps — plus device-level bypass
-//        (`device_bypass_vtol`): quiet MOSFETs replay cached stamp
-//        entries instead of re-running the compact model, which is
-//        where the wall time actually goes (assembly dominates each
-//        iteration; the banded LU is linear in n).  Acceptance requires
-//        a final sub-tolerance step against a fresh factorization, so
-//        the accepted point passes the direct tier's own criterion;
-//        the residual model error is bounded by g * device_bypass_vtol
-//        per quiet device and gated at 0.5% end to end.  This is the
+//        (`device_bypass_vtol`): quiet MOSFETs keep their last stamp
+//        values instead of re-running the compact model (the compiled
+//        stamp program then re-sums only the matrix entries that
+//        changed; see system.h).  Acceptance requires a final
+//        sub-tolerance step against a fresh factorization, so the
+//        accepted point passes the direct tier's own criterion; the
+//        residual model error is bounded by g * device_bypass_vtol per
+//        quiet device and gated at 0.5% end to end.  This is the
 //        production default under the fast accuracy tier.
 //      - `iterative`: the same reuse discipline caching an ILU(0)
 //        preconditioner for BiCGSTAB instead of an exact LU.  The
@@ -33,8 +33,8 @@
 //        breakdown, so robustness matches bypass.
 //    DC operating points keep their own Newton_options (Dc_options below)
 //    and default to `direct`, which pins identical initial conditions
-//    under every policy.  Per-run factorization/bypass work is observable
-//    in Step_stats.
+//    under every policy.  Per-run factorization/bypass work and device
+//    evaluations are observable in Step_stats.
 #ifndef MPSRAM_SPICE_ANALYSIS_H
 #define MPSRAM_SPICE_ANALYSIS_H
 

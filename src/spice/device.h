@@ -1,10 +1,20 @@
 // Device-model interface of the MNA engine.
 //
-// Devices are stamped once per Newton iteration.  The engine hands each
-// device a Stamper (matrix/RHS access with ground- and driven-node handling
-// folded in) and an Eval_context (current iterate, time step, integration
-// method).  Dynamic devices keep their own history state and are told when
-// a step is accepted.
+// The engine hands each device a Stamper (matrix/RHS access with ground-
+// and driven-node handling folded in) and an Eval_context (current
+// iterate, time step, integration method).  Dynamic devices keep their own
+// history state and are told when a step is accepted.
+//
+// Stamp-call contract.  Within one analysis mode, a device makes the same
+// sequence of Stamper calls — the same (eq, wrt) pairs in the same order —
+// on every stamp(), whatever the voltages, time, step or method; only the
+// values vary.  In DC the sequence is either the transient one or empty
+// (a capacitor is open in DC).  The MNA system binds each call to its
+// matrix slot or RHS row once, at compile time (spice/system.h), and
+// re-stamps a device only when its class says its values may have
+// changed.  Checked builds (-DMPSRAM_CHECKED=ON) assert every replayed
+// call's (eq, wrt) against its bound op and the call count per device;
+// compilation rejects a DC sequence that is neither.
 #ifndef MPSRAM_SPICE_DEVICE_H
 #define MPSRAM_SPICE_DEVICE_H
 
@@ -77,12 +87,13 @@ public:
     virtual bool is_nonlinear() const { return false; }
 
     /// True when stamp() depends only on the terminal voltages — no
-    /// time, dt, waveform, or history state.  The reuse solver may then
-    /// replay a cached stamp across steps while every terminal stays
-    /// within its bypass tolerance (parameter edits between runs are
-    /// covered by the per-run reuse reset).  Devices that keep the
-    /// default are replayed within a single Newton solve only, where t,
-    /// dt, and history are fixed.
+    /// mode, time, dt, waveform, or history state.  Linear ones are then
+    /// stamped once per run; nonlinear ones keep their last stamp values
+    /// across steps on the reuse solver tiers while every terminal stays
+    /// within the bypass tolerance.  Parameter edits between runs are
+    /// covered by the per-run reuse reset.  Linear devices that keep the
+    /// default are re-stamped once per Newton solve, where t, dt, and
+    /// history are fixed.
     virtual bool stamp_voltage_only() const { return false; }
 
     /// True when accept_step() updates history state the next stamp()
@@ -90,11 +101,12 @@ public:
     /// on these devices.
     virtual bool keeps_history() const { return false; }
 
-    /// Contribute linearized equations at the current iterate.
+    /// Contribute linearized equations at the current iterate, honouring
+    /// the stamp-call contract in the file comment.
     virtual void stamp(Stamper& s, const Eval_context& ctx) const = 0;
 
     /// Called once after a DC solution or an accepted transient step so
-    /// dynamic devices can update their history state.
+    /// dynamic devices (keeps_history()) can update their history state.
     virtual void accept_step(const Eval_context& ctx) { (void)ctx; }
 
     /// Report waveform corner times in (0, tstop) for breakpoint handling.

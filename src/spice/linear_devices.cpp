@@ -39,42 +39,6 @@ void Capacitor::set_capacitance(double farads)
     i_prev_ = 0.0;
 }
 
-double Capacitor::companion_g(const Eval_context& ctx) const
-{
-    util::expects(ctx.dt > 0.0, "companion model needs a positive step");
-    switch (ctx.method) {
-    case Integration_method::backward_euler:
-        return farads_ / ctx.dt;
-    case Integration_method::trapezoidal:
-        return 2.0 * farads_ / ctx.dt;
-    }
-    throw util::Invariant_error("unknown integration method");
-}
-
-double Capacitor::history_current(const Eval_context& ctx) const
-{
-    // Branch current a->b at the new point:
-    //   i_new = geq * v_new - hist
-    // BE:   hist = geq * v_prev
-    // TRAP: hist = geq * v_prev + i_prev
-    const double geq = companion_g(ctx);
-    double hist = geq * v_prev_;
-    if (ctx.method == Integration_method::trapezoidal) hist += i_prev_;
-    return hist;
-}
-
-void Capacitor::stamp(Stamper& s, const Eval_context& ctx) const
-{
-    if (ctx.mode == Analysis_mode::dc) return;  // open in DC
-    const double geq = companion_g(ctx);
-    const double hist = history_current(ctx);
-    s.conductance(nodes()[0], nodes()[1], geq);
-    // i = geq*v - hist flows a->b; the "hist" part is an equivalent source
-    // pushing current into a (and out of b).
-    s.current_into(nodes()[0], hist);
-    s.current_into(nodes()[1], -hist);
-}
-
 void Capacitor::accept_step(const Eval_context& ctx)
 {
     const double v_now = ctx.v(nodes()[0]) - ctx.v(nodes()[1]);
@@ -83,8 +47,8 @@ void Capacitor::accept_step(const Eval_context& ctx)
         i_prev_ = 0.0;
         return;
     }
-    const double hist = history_current(ctx);
-    i_prev_ = companion_g(ctx) * v_now - hist;
+    const Companion c = companion(ctx);
+    i_prev_ = c.g * v_now - c.hist;
     v_prev_ = v_now;
 }
 

@@ -4,6 +4,7 @@
 
 #include "spice/device.h"
 #include "spice/waveform.h"
+#include "util/contracts.h"
 
 namespace mpsram::spice {
 
@@ -36,14 +37,53 @@ public:
     /// companion-model history; the next DC operating point re-latches it.
     void set_capacitance(double farads);
 
+    /// Transient companion model at `ctx`: the branch current a->b at the
+    /// new point is i = g * v - hist.  The one formula stamp() and
+    /// accept_step() both use.
+    struct Companion {
+        double g;     ///< equivalent conductance [S]
+        double hist;  ///< history current source [A]
+    };
+    Companion companion(const Eval_context& ctx) const
+    {
+        util::expects(ctx.dt > 0.0, "companion model needs a positive step");
+        // BE:   g = C/dt,  hist = g * v_prev
+        // TRAP: g = 2C/dt, hist = g * v_prev + i_prev
+        const bool trap = ctx.method == Integration_method::trapezoidal;
+        const double g = trap ? 2.0 * farads_ / ctx.dt : farads_ / ctx.dt;
+        double hist = g * v_prev_;
+        if (trap) hist += i_prev_;
+        return {g, hist};
+    }
+
+    /// stamp() for any stamper type: the MNA stamp program calls this
+    /// directly on its own (final) stamper, without virtual dispatch.
+    template <class S>
+    void stamp_into(S& s, const Eval_context& ctx) const
+    {
+        if (ctx.mode == Analysis_mode::dc) return;  // open in DC
+        const Companion c = companion(ctx);
+        const Node a = nodes()[0];
+        const Node b = nodes()[1];
+        // Conductance g between a and b (Stamper::conductance order).
+        s.jacobian(a, a, c.g);
+        s.jacobian(b, b, c.g);
+        s.jacobian(a, b, -c.g);
+        s.jacobian(b, a, -c.g);
+        // i = g*v - hist flows a->b; the "hist" part is an equivalent
+        // source pushing current into a (and out of b).
+        s.rhs(a, c.hist);
+        s.rhs(b, -c.hist);
+    }
+
     bool keeps_history() const override { return true; }
-    void stamp(Stamper& s, const Eval_context& ctx) const override;
+    void stamp(Stamper& s, const Eval_context& ctx) const override
+    {
+        stamp_into(s, ctx);
+    }
     void accept_step(const Eval_context& ctx) override;
 
 private:
-    double companion_g(const Eval_context& ctx) const;
-    double history_current(const Eval_context& ctx) const;
-
     double farads_;
     double v_prev_ = 0.0;  ///< branch voltage v(a) - v(b) at last accepted point
     double i_prev_ = 0.0;  ///< branch current a->b at last accepted point

@@ -22,8 +22,8 @@ public:
 
     bool is_nonlinear() const override { return true; }
     /// The EKV stamp reads only the drain/gate/source voltages, so the
-    /// reuse solver may replay it across steps while the terminals are
-    /// quiet.
+    /// reuse solver may keep its values across steps while the terminals
+    /// are quiet.
     bool stamp_voltage_only() const override { return true; }
 
     void stamp(Stamper& s, const Eval_context& ctx) const override;

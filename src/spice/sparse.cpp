@@ -169,13 +169,16 @@ Sparse_lu::Sparse_lu(const Sparse_matrix& pattern) : n_(pattern.size())
     l_values_.assign(l_cols_flat_.size(), 0.0);
     u_values_.assign(u_cols_flat_.size(), 0.0);
     diag_inv_.assign(n_, 0.0);
+    work_.assign(n_, 0.0);
 }
 
 void Sparse_lu::factor(const Sparse_matrix& a, double pivot_floor)
 {
     util::expects(a.size() == n_, "matrix size mismatch");
 
-    std::vector<double> work(n_, 0.0);
+    // Dense row scratch; all zero between rows (the elimination loop
+    // clears the L entries, the gather loop the U entries).
+    std::vector<double>& work = work_;
 
     const auto& rp = a.row_ptr();
     const auto& pc = a.cols();

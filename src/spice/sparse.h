@@ -23,7 +23,7 @@
 namespace mpsram::spice {
 
 /// Fixed-pattern sparse square matrix in CSR form with value access by
-/// (row, col) binary search.
+/// bound slot or by (row, col) binary search.
 class Sparse_matrix {
 public:
     /// Build the pattern from (row, col) pairs; duplicates are merged and
@@ -38,13 +38,15 @@ public:
     void clear_values();
 
     /// values[slot(row,col)] += v.  (row, col) must be in the pattern.
+    /// A binary search per call: for setup and tests, not hot loops.
     void add(int row, int col, double v);
 
     /// Slot index of (row, col), or -1 if not in pattern.
     int slot(int row, int col) const;
 
-    double value_at_slot(int s) const { return values_[s]; }
-    void add_at_slot(int s, double v) { values_[s] += v; }
+    /// Values by slot, for owners that bind slots once (the MNA stamp
+    /// program writes every entry through this).
+    double* value_data() { return values_.data(); }
 
     /// y = A x (serial, deterministic).  The residual kernel of the
     /// factorization-reuse Newton path and the iterative solver.
@@ -93,6 +95,7 @@ private:
     std::vector<double> l_values_;
     std::vector<double> u_values_;
     std::vector<double> diag_inv_;
+    std::vector<double> work_;  ///< factor() row scratch, kept all zero
 
     // First U slot per row is the diagonal (enforced during symbolic).
 };

@@ -1,7 +1,10 @@
 #include "spice/system.h"
 
 #include <algorithm>
+#include <bit>
 #include <cmath>
+#include <cstdint>
+#include <limits>
 
 #include "spice/exceptions.h"
 #include "util/check.h"
@@ -9,46 +12,99 @@
 
 namespace mpsram::spice {
 
-// --- stampers ----------------------------------------------------------------
+// --- binding ----------------------------------------------------------------
 
-/// Pattern pass: records which (eq, wrt) matrix positions devices touch.
-class Mna_system::Pattern_stamper final : public Stamper {
+/// Compile-time recorder.  Pattern pass: collects the (row, col) matrix
+/// positions devices touch.  Bind pass: appends one op per stamp call.
+/// Verify pass (DC): checks that a device's DC calls route exactly like
+/// its bound (transient) ops, and counts them.
+class Mna_system::Binder final : public Stamper {
 public:
-    Pattern_stamper(const std::vector<int>& solve_index,
-                    std::vector<std::pair<int, int>>& entries)
-        : solve_index_(&solve_index), entries_(&entries)
+    enum class Pass { pattern, bind, verify };
+
+    Binder(Mna_system& sys, Pass pass) : sys_(&sys), pass_(pass) {}
+
+    std::vector<std::pair<int, int>> entries;  ///< pattern pass output
+
+    /// Start a device whose bound ops begin at `op` (verify pass).
+    void begin(std::int32_t op, std::int32_t end)
     {
+        op_ = op;
+        end_ = end;
+        calls_ = 0;
+        matches_ = true;
     }
+    std::int32_t calls() const { return calls_; }
+    bool matches() const { return matches_; }
 
     void jacobian(Node eq, Node wrt, double) override
     {
-        const int row = (*solve_index_)[static_cast<std::size_t>(eq)];
-        const int col = (*solve_index_)[static_cast<std::size_t>(wrt)];
-        if (row >= 0 && col >= 0) entries_->push_back({row, col});
+        if (pass_ == Pass::pattern) {
+            const int row = sys_->solve_index_[static_cast<std::size_t>(eq)];
+            const int col = sys_->solve_index_[static_cast<std::size_t>(wrt)];
+            if (row >= 0 && col >= 0) entries.push_back({row, col});
+            return;
+        }
+        record(sys_->route_jacobian(eq, wrt));
     }
 
-    void rhs(Node, double) override {}
+    void rhs(Node eq, double) override
+    {
+        if (pass_ == Pass::pattern) return;
+        record(sys_->route_rhs(eq));
+    }
 
 private:
-    const std::vector<int>* solve_index_;
-    std::vector<std::pair<int, int>>* entries_;
+    void record(const Route& r)
+    {
+        ++calls_;
+        if (pass_ == Pass::verify) {
+            matches_ = matches_ && op_ < end_ &&
+                       sys_->decode(sys_->ops_[static_cast<std::size_t>(
+                           op_++)]) == r;
+            return;
+        }
+        std::int32_t op = r.target;
+        if (r.node != ground_node) {
+            op = -2 - static_cast<std::int32_t>(sys_->driven_ops_.size());
+            sys_->driven_ops_.push_back({r.target, r.node});
+        }
+        sys_->ops_.push_back(op);
+    }
+
+    Mna_system* sys_;
+    Pass pass_;
+    std::int32_t op_ = 0;
+    std::int32_t end_ = 0;
+    std::int32_t calls_ = 0;
+    bool matches_ = true;
 };
 
-/// Numeric pass: writes values into the matrix / RHS, routing known-voltage
-/// columns to the RHS.
-class Mna_system::Assembly_stamper final : public Stamper {
+/// Runtime stamper: replays a device's bound ops, writing each stamp value
+/// into the value slab and marking its fold target dirty when the stored
+/// bits change.
+class Mna_system::Value_writer final : public Stamper {
 public:
-    Assembly_stamper(const std::vector<int>& solve_index,
-                     Sparse_matrix& m, std::vector<double>& rhs,
-                     const std::vector<double>& voltages)
-        : solve_index_(&solve_index),
-          matrix_(&m),
-          rhs_(&rhs),
-          voltages_(&voltages)
+    Value_writer(Mna_system& sys, const double* voltages)
+        : sys_(&sys),
+          ops_(sys.ops_.data()),
+          values_(sys.values_.data()),
+          voltages_(voltages)
     {
     }
 
-    void jacobian(Node eq, Node wrt, double g) override
+    /// Start replaying the bound ops of `device`.
+    void begin(std::int32_t device)
+    {
+        const auto d = static_cast<std::size_t>(device);
+        op_ = sys_->device_op_[d];
+        end_ = sys_->device_op_[d + 1];
+        value_ = sys_->device_value_[d];
+    }
+    /// True once every bound op of the device has been replayed.
+    bool done() const { return op_ == end_; }
+
+    void jacobian(Node eq, Node wrt, double g) final
     {
         // A NaN-poisoned stamp caught here names the exact (eq, wrt)
         // entry; downstream it would surface as an unrelated
@@ -56,93 +112,72 @@ public:
         // tolerance test) long after the cause.
         MPSRAM_ASSERT(std::isfinite(g), "non-finite Jacobian stamp",
                       MPSRAM_VAL(g), MPSRAM_VAL(eq), MPSRAM_VAL(wrt));
-        const int row = (*solve_index_)[static_cast<std::size_t>(eq)];
-        if (row < 0) return;  // ground or driven equation: dropped
-        const int col = (*solve_index_)[static_cast<std::size_t>(wrt)];
-        if (col >= 0) {
-            matrix_->add(row, col, g);
-        } else {
-            // Known voltage (ground contributes 0): move to the RHS.
-            (*rhs_)[static_cast<std::size_t>(row)] -=
-                g * (*voltages_)[static_cast<std::size_t>(wrt)];
+        MPSRAM_ASSERT(bound_is(sys_->route_jacobian(eq, wrt)),
+                      "stamp call does not match its bound op",
+                      MPSRAM_VAL(eq), MPSRAM_VAL(wrt), MPSRAM_VAL(op_));
+        const std::int32_t op = ops_[op_++];
+        if (op >= 0) {
+            write(op, g);
+        } else if (op != drop_op) {
+            // Known voltage: move to the RHS.
+            const Driven_op& d =
+                sys_->driven_ops_[static_cast<std::size_t>(-2 - op)];
+            write(d.target, -g * voltages_[d.node]);
         }
     }
 
-    void rhs(Node eq, double value) override
+    void rhs(Node eq, double value) final
     {
         MPSRAM_ASSERT(std::isfinite(value), "non-finite RHS stamp",
                       MPSRAM_VAL(value), MPSRAM_VAL(eq));
-        const int row = (*solve_index_)[static_cast<std::size_t>(eq)];
-        if (row >= 0) (*rhs_)[static_cast<std::size_t>(row)] += value;
+        MPSRAM_ASSERT(bound_is(sys_->route_rhs(eq)),
+                      "stamp call does not match its bound op",
+                      MPSRAM_VAL(eq), MPSRAM_VAL(op_));
+        const std::int32_t op = ops_[op_++];
+        if (op >= 0) write(op, value);
     }
 
-private:
-    const std::vector<int>* solve_index_;
-    Sparse_matrix* matrix_;
-    std::vector<double>* rhs_;
-    const std::vector<double>* voltages_;
-};
-
-/// Numeric pass that also records the routed entries into a Device_cache,
-/// so quiet devices can later replay them without re-running the compact
-/// model.  Routing is identical to Assembly_stamper; matrix entries are
-/// recorded by slot so replay is one add per entry.
-class Mna_system::Caching_stamper final : public Stamper {
-public:
-    Caching_stamper(const std::vector<int>& solve_index,
-                    Sparse_matrix& m, std::vector<double>& rhs,
-                    const std::vector<double>& voltages)
-        : solve_index_(&solve_index),
-          matrix_(&m),
-          rhs_(&rhs),
-          voltages_(&voltages)
+    /// Store +0.0 into every value of `device` (open in this mode).
+    void zero(std::int32_t device)
     {
-    }
-
-    void begin(Device_cache& cache)
-    {
-        cache_ = &cache;
-        cache_->matrix_adds.clear();
-        cache_->rhs_adds.clear();
-    }
-
-    void jacobian(Node eq, Node wrt, double g) override
-    {
-        // Same poison guard as Assembly_stamper: a cached NaN would be
-        // replayed on every bypass hit until the envelope invalidates.
-        MPSRAM_ASSERT(std::isfinite(g), "non-finite Jacobian stamp (cached)",
-                      MPSRAM_VAL(g), MPSRAM_VAL(eq), MPSRAM_VAL(wrt));
-        const int row = (*solve_index_)[static_cast<std::size_t>(eq)];
-        if (row < 0) return;
-        const int col = (*solve_index_)[static_cast<std::size_t>(wrt)];
-        if (col >= 0) {
-            const int s = matrix_->slot(row, col);
-            matrix_->add_at_slot(s, g);
-            cache_->matrix_adds.emplace_back(s, g);
-        } else {
-            const double v =
-                -g * (*voltages_)[static_cast<std::size_t>(wrt)];
-            (*rhs_)[static_cast<std::size_t>(row)] += v;
-            cache_->rhs_adds.emplace_back(row, v);
+        for (begin(device); op_ < end_; ++op_) {
+            const std::int32_t op = ops_[op_];
+            if (op != drop_op) write(sys_->decode(op).target, 0.0);
         }
     }
 
-    void rhs(Node eq, double value) override
+private:
+    void write(std::int32_t target, double v)
     {
-        MPSRAM_ASSERT(std::isfinite(value), "non-finite RHS stamp (cached)",
-                      MPSRAM_VAL(value), MPSRAM_VAL(eq));
-        const int row = (*solve_index_)[static_cast<std::size_t>(eq)];
-        if (row < 0) return;
-        (*rhs_)[static_cast<std::size_t>(row)] += value;
-        cache_->rhs_adds.emplace_back(row, value);
+        double& slot = values_[value_++];
+        if (std::bit_cast<std::uint64_t>(slot) ==
+            std::bit_cast<std::uint64_t>(v)) {
+            return;
+        }
+        slot = v;
+        unsigned char& flags =
+            sys_->target_flags_[static_cast<std::size_t>(target)];
+        if (!(flags & dirty_flag)) {
+            flags |= dirty_flag;
+            sys_->dirty_.push_back(target);
+        }
     }
 
-private:
-    const std::vector<int>* solve_index_;
-    Sparse_matrix* matrix_;
-    std::vector<double>* rhs_;
-    const std::vector<double>* voltages_;
-    Device_cache* cache_ = nullptr;
+    /// Checked builds: a stamp call must be the next one the device's
+    /// bound program expects, routed identically (the fixed stamp-call
+    /// sequence contract of device.h).
+    bool bound_is(const Route& r) const
+    {
+        return op_ < end_ && sys_->decode(ops_[op_]) == r;
+    }
+
+    Mna_system* sys_;
+    const std::int32_t* ops_;
+    double* values_;
+    const double* voltages_;
+    std::int32_t op_ = 0;
+    std::int32_t end_ = 0;
+    std::int32_t value_ = 0;
 };
 
 // --- Mna_system ---------------------------------------------------------------
@@ -150,7 +185,7 @@ private:
 Mna_system::Mna_system(Circuit& circuit) : circuit_(&circuit)
 {
     classify();
-    build_pattern();
+    compile();
 }
 
 void Mna_system::classify()
@@ -202,39 +237,220 @@ void Mna_system::classify()
     branch_currents_.assign(branches_.size(), 0.0);
 }
 
-void Mna_system::build_pattern()
-{
-    std::vector<std::pair<int, int>> entries;
+namespace {
 
-    // Device entries: one structural pass with zeroed voltages.
-    Pattern_stamper ps(solve_index_, entries);
-    std::vector<double> zeros(circuit_->node_count(), 0.0);
+/// Binding context: stamps only need the call sequence, so voltages are
+/// zero and the step is any positive value.
+Eval_context binding_context(Analysis_mode mode,
+                             const std::vector<double>& zeros)
+{
     Eval_context ctx;
-    ctx.mode = Analysis_mode::transient;
+    ctx.mode = mode;
     ctx.method = Integration_method::backward_euler;
     ctx.time = 0.0;
-    ctx.dt = 1.0;  // any positive value: pattern only
+    ctx.dt = mode == Analysis_mode::transient ? 1.0 : 0.0;
     ctx.voltages = zeros.data();
-    for (const auto& dev : circuit_->devices()) dev->stamp(ps, ctx);
+    return ctx;
+}
 
-    // Branch rows/columns for floating sources.
-    for (const Branch& b : branches_) {
-        const int prow = solve_index_[static_cast<std::size_t>(b.source->pos())];
-        const int nrow = solve_index_[static_cast<std::size_t>(b.source->neg())];
-        if (prow >= 0) {
-            entries.push_back({prow, b.index});
-            entries.push_back({b.index, prow});
+} // namespace
+
+void Mna_system::compile()
+{
+    const std::vector<double> zeros(circuit_->node_count(), 0.0);
+    const Eval_context tran =
+        binding_context(Analysis_mode::transient, zeros);
+
+    // Pattern: device entries plus the floating-source branch rows.
+    {
+        Binder pattern(*this, Binder::Pass::pattern);
+        for (const auto& dev : circuit_->devices()) dev->stamp(pattern, tran);
+        for (const Branch& b : branches_) {
+            for (const Node n : {b.source->pos(), b.source->neg()}) {
+                const int row = solve_index_[static_cast<std::size_t>(n)];
+                if (row < 0) continue;
+                pattern.entries.push_back({row, b.index});
+                pattern.entries.push_back({b.index, row});
+            }
         }
-        if (nrow >= 0) {
-            entries.push_back({nrow, b.index});
-            entries.push_back({b.index, nrow});
-        }
+        matrix_ = std::make_unique<Sparse_matrix>(total_unknowns_,
+                                                  pattern.entries);
     }
-
-    matrix_ = std::make_unique<Sparse_matrix>(total_unknowns_, entries);
     lu_ = std::make_unique<Sparse_lu>(*matrix_);
     rhs_.assign(total_unknowns_, 0.0);
     solution_.assign(total_unknowns_, 0.0);
+
+    diag_slot_.resize(unknown_nodes_.size());
+    for (std::size_t u = 0; u < unknown_nodes_.size(); ++u) {
+        diag_slot_[u] =
+            matrix_->slot(static_cast<int>(u), static_cast<int>(u));
+    }
+    for (Branch& b : branches_) {
+        const int prow =
+            solve_index_[static_cast<std::size_t>(b.source->pos())];
+        const int nrow =
+            solve_index_[static_cast<std::size_t>(b.source->neg())];
+        if (prow >= 0) {
+            b.slots[0] = matrix_->slot(prow, b.index);
+            b.slots[1] = matrix_->slot(b.index, prow);
+        }
+        if (nrow >= 0) {
+            b.slots[2] = matrix_->slot(nrow, b.index);
+            b.slots[3] = matrix_->slot(b.index, nrow);
+        }
+    }
+
+    bind_ops();
+    build_fold_index();
+    schedule();
+}
+
+Mna_system::Route Mna_system::route_jacobian(Node eq, Node wrt) const
+{
+    const int row = solve_index_[static_cast<std::size_t>(eq)];
+    if (row < 0) return {};  // ground or driven equation: dropped
+    const int col = solve_index_[static_cast<std::size_t>(wrt)];
+    if (col >= 0) return {matrix_->slot(row, col), ground_node};
+    // Ground column: -g * 0 adds a signed zero, an exact identity.
+    if (wrt == ground_node) return {};
+    return {static_cast<std::int32_t>(matrix_->nonzeros()) + row, wrt};
+}
+
+Mna_system::Route Mna_system::route_rhs(Node eq) const
+{
+    const int row = solve_index_[static_cast<std::size_t>(eq)];
+    if (row < 0) return {};
+    return {static_cast<std::int32_t>(matrix_->nonzeros()) + row,
+            ground_node};
+}
+
+Mna_system::Route Mna_system::decode(std::int32_t op) const
+{
+    if (op >= 0) return {op, ground_node};
+    if (op == drop_op) return {};
+    const Driven_op& d = driven_ops_[static_cast<std::size_t>(-2 - op)];
+    return {d.target, d.node};
+}
+
+void Mna_system::bind_ops()
+{
+    const auto& devices = circuit_->devices();
+    const std::vector<double> zeros(circuit_->node_count(), 0.0);
+    const Eval_context tran =
+        binding_context(Analysis_mode::transient, zeros);
+
+    Binder binder(*this, Binder::Pass::bind);
+    device_op_.assign(devices.size() + 1, 0);
+    device_value_.assign(devices.size() + 1, 0);
+    std::int32_t values = 0;
+    for (std::size_t i = 0; i < devices.size(); ++i) {
+        const auto first = static_cast<std::int32_t>(ops_.size());
+        devices[i]->stamp(binder, tran);
+        for (std::size_t k = static_cast<std::size_t>(first); k < ops_.size();
+             ++k) {
+            if (ops_[k] != drop_op) ++values;
+        }
+        device_op_[i + 1] = static_cast<std::int32_t>(ops_.size());
+        device_value_[i + 1] = values;
+    }
+    ops_.shrink_to_fit();
+    driven_ops_.shrink_to_fit();
+    values_.assign(static_cast<std::size_t>(values), 0.0);
+}
+
+void Mna_system::build_fold_index()
+{
+    // Counting sort of the value slots by target: ops are laid out in
+    // device order, so each target's list comes out in device order.
+    const std::size_t targets = matrix_->nonzeros() + total_unknowns_;
+    fold_ptr_.assign(targets + 1, 0);
+    for (const std::int32_t op : ops_) {
+        if (op == drop_op) continue;
+        ++fold_ptr_[static_cast<std::size_t>(decode(op).target) + 1];
+    }
+    for (std::size_t t = 0; t < targets; ++t) {
+        fold_ptr_[t + 1] += fold_ptr_[t];
+    }
+    fold_src_.resize(values_.size());
+    std::vector<std::int32_t> fill(fold_ptr_.begin(), fold_ptr_.end() - 1);
+    std::int32_t value = 0;
+    for (const std::int32_t op : ops_) {
+        if (op == drop_op) continue;
+        const auto t = static_cast<std::size_t>(decode(op).target);
+        fold_src_[static_cast<std::size_t>(fill[t]++)] = value++;
+    }
+
+    target_flags_.assign(targets, 0);
+    for (const int s : diag_slot_) {
+        target_flags_[static_cast<std::size_t>(s)] |= gmin_flag;
+    }
+    dirty_.reserve(targets);
+}
+
+void Mna_system::schedule()
+{
+    const auto& devices = circuit_->devices();
+    const std::vector<double> zeros(circuit_->node_count(), 0.0);
+    const Eval_context dc = binding_context(Analysis_mode::dc, zeros);
+
+    Binder verify(*this, Binder::Pass::verify);
+    std::vector<std::int32_t> step_open, always_open;
+    counted_.assign(devices.size(), 0);
+    check_ptr_.assign(1, 0);
+    for (std::size_t i = 0; i < devices.size(); ++i) {
+        const Device& dev = *devices[i];
+        const auto id = static_cast<std::int32_t>(i);
+        const std::int32_t first = device_op_[i];
+        const std::int32_t end = device_op_[i + 1];
+
+        // The DC call sequence must be the transient one or empty.
+        verify.begin(first, end);
+        dev.stamp(verify, dc);
+        const bool dc_open = verify.calls() == 0 && end > first;
+        if (!dc_open && !(verify.calls() == end - first && verify.matches())) {
+            throw util::Invariant_error(
+                "device " + dev.name() +
+                " stamps a different call sequence in DC than in transient");
+        }
+        bool driven = false;
+        for (std::int32_t k = first; k < end; ++k) {
+            driven = driven || ops_[static_cast<std::size_t>(k)] < drop_op;
+        }
+        const bool vo = dev.stamp_voltage_only();
+        if (vo && dc_open) {
+            throw util::Invariant_error(
+                "voltage-only device " + dev.name() +
+                " stamps nothing in DC");
+        }
+
+        counted_[i] = dev.is_nonlinear() || dev.keeps_history();
+        if (auto* cap = dynamic_cast<Capacitor*>(devices[i].get())) {
+            capacitors_.push_back({id, cap});
+            continue;
+        }
+        if (dev.keeps_history()) history_devices_.push_back(id);
+        if (end == first) continue;  // stamps nothing (voltage sources)
+        if (!dev.is_nonlinear() && vo && !driven) {
+            static_devices_.push_back(id);
+        } else if (vo) {
+            checked_devices_.push_back(id);
+            for (const Node n : dev.nodes()) check_nodes_.push_back(n);
+            check_ptr_.push_back(
+                static_cast<std::int32_t>(check_nodes_.size()));
+        } else if (!dev.is_nonlinear()) {
+            (dc_open ? step_open : step_devices_).push_back(id);
+        } else {
+            (dc_open ? always_open : always_devices_).push_back(id);
+        }
+    }
+    step_dc_end_ = step_devices_.size();
+    step_devices_.insert(step_devices_.end(), step_open.begin(),
+                         step_open.end());
+    always_dc_end_ = always_devices_.size();
+    always_devices_.insert(always_devices_.end(), always_open.begin(),
+                           always_open.end());
+    v_eval_.assign(check_nodes_.size(),
+                   std::numeric_limits<double>::quiet_NaN());
 }
 
 void Mna_system::apply_driven(double t, std::vector<double>& voltages) const
@@ -247,144 +463,169 @@ void Mna_system::apply_driven(double t, std::vector<double>& voltages) const
     }
 }
 
-void Mna_system::assemble(const Eval_context& ctx,
-                          const std::vector<double>& voltages,
-                          const Newton_options& opts,
-                          std::span<const Forced_node> forces)
+void Mna_system::evaluate(std::int32_t device, Value_writer& writer,
+                          const Eval_context& ctx)
 {
-    matrix_->clear_values();
-    std::fill(rhs_.begin(), rhs_.end(), 0.0);
-
-    Assembly_stamper stamper(solve_index_, *matrix_, rhs_, voltages);
-    for (const auto& dev : circuit_->devices()) {
-        dev->stamp(stamper, ctx);
-        count_evaluation(*dev, ctx);
-    }
-
-    stamp_fixed(ctx, voltages, opts, forces);
+    const auto d = static_cast<std::size_t>(device);
+    writer.begin(device);
+    circuit_->devices()[d]->stamp(writer, ctx);
+    MPSRAM_ASSERT(writer.done(),
+                  "device made fewer stamp calls than its bound program",
+                  MPSRAM_VAL(device));
+    counters_.device_evaluations += counted_[d];
 }
 
-/// Reuse-tier assembly.  Voltage-only devices (MOSFETs, resistors) whose
-/// terminals are all within device_bypass_vtol of their last evaluation
-/// replay cached stamps across steps; time/history devices (capacitor
-/// companions, sources) re-evaluate on the first iteration of each solve
-/// — where t, dt, and history change — and replay on the rest.  Cache
-/// replay follows device order, so the per-slot add sequence — and
-/// therefore the assembled doubles — match a fresh assembly of the same
-/// linearizations exactly.
-void Mna_system::assemble_reuse(const Eval_context& ctx,
-                                const std::vector<double>& voltages,
-                                const Newton_options& opts, bool new_step,
-                                std::span<const Forced_node> forces)
+void Mna_system::evaluate_capacitors(Value_writer& writer,
+                                     const Eval_context& ctx)
 {
-    matrix_->clear_values();
-    std::fill(rhs_.begin(), rhs_.end(), 0.0);
+    for (const Bound_capacitor& c : capacitors_) {
+        writer.begin(c.device);
+        c.capacitor->stamp_into(writer, ctx);
+        MPSRAM_ASSERT(writer.done(),
+                      "capacitor made fewer stamp calls than its bound "
+                      "program",
+                      MPSRAM_VAL(c.device));
+    }
+    counters_.device_evaluations +=
+        static_cast<long long>(capacitors_.size());
+}
 
+/// One assembly: evaluate what the schedule says changed, then fold.
+void Mna_system::load(const Eval_context& ctx,
+                      const std::vector<double>& voltages,
+                      const Newton_options& opts, bool new_step,
+                      std::span<const Forced_node> forces)
+{
+    Value_writer writer(*this, voltages.data());
+    const bool dc = ctx.mode == Analysis_mode::dc;
+    if (dc && (!assembled_ || !assembled_dc_)) {
+        // Entering DC: devices open in DC contribute nothing.
+        for (const Bound_capacitor& c : capacitors_) writer.zero(c.device);
+        for (std::size_t k = step_dc_end_; k < step_devices_.size(); ++k) {
+            writer.zero(step_devices_[k]);
+        }
+        for (std::size_t k = always_dc_end_; k < always_devices_.size();
+             ++k) {
+            writer.zero(always_devices_[k]);
+        }
+    }
+    assembled_dc_ = dc;
+
+    if (statics_stale_) {
+        for (const std::int32_t d : static_devices_) evaluate(d, writer, ctx);
+        statics_stale_ = false;
+    }
+    if (new_step) {
+        const std::size_t end = dc ? step_dc_end_ : step_devices_.size();
+        for (std::size_t k = 0; k < end; ++k) {
+            evaluate(step_devices_[k], writer, ctx);
+        }
+        if (!dc) evaluate_capacitors(writer, ctx);
+    }
+    const std::size_t always_end =
+        dc ? always_dc_end_ : always_devices_.size();
+    for (std::size_t k = 0; k < always_end; ++k) {
+        evaluate(always_devices_[k], writer, ctx);
+    }
+
+    // Checked devices.  On the reuse tiers a device whose terminals —
+    // driven ones included — all stayed within device_bypass_vtol of its
+    // last recorded evaluation keeps its values; the direct tier (and
+    // vtol <= 0) re-evaluates every iteration and records nothing.
     const double vtol = opts.device_bypass_vtol;
-    const auto& devices = circuit_->devices();
-    if (device_cache_.size() != devices.size()) {
-        device_cache_.assign(devices.size(), {});
+    const bool bypass = opts.solver != Solver_policy::direct && vtol > 0.0;
+    for (std::size_t k = 0; k < checked_devices_.size(); ++k) {
+        const auto first = static_cast<std::size_t>(check_ptr_[k]);
+        const auto last = static_cast<std::size_t>(check_ptr_[k + 1]);
+        if (bypass) {
+            bool quiet = true;
+            for (std::size_t j = first; quiet && j < last; ++j) {
+                const auto n = static_cast<std::size_t>(check_nodes_[j]);
+                quiet = std::fabs(voltages[n] - v_eval_[j]) <= vtol;
+            }
+            if (quiet) continue;
+        }
+        evaluate(checked_devices_[k], writer, ctx);
+        for (std::size_t j = first; j < last; ++j) {
+            v_eval_[j] =
+                bypass ? voltages[static_cast<std::size_t>(check_nodes_[j])]
+                       : std::numeric_limits<double>::quiet_NaN();
+        }
     }
 
-    Assembly_stamper fresh(solve_index_, *matrix_, rhs_, voltages);
-    Caching_stamper caching(solve_index_, *matrix_, rhs_, voltages);
-    for (std::size_t i = 0; i < devices.size(); ++i) {
-        const Device& dev = *devices[i];
-        if (vtol <= 0.0) {
-            dev.stamp(fresh, ctx);
-            count_evaluation(dev, ctx);
-            continue;
-        }
-        Device_cache& cache = device_cache_[i];
-        bool quiet;
-        if (dev.stamp_voltage_only()) {
-            const auto& nodes = dev.nodes();
-            quiet = cache.valid && cache.v_at_eval.size() == nodes.size();
-            for (std::size_t k = 0; quiet && k < nodes.size(); ++k) {
-                const auto n = static_cast<std::size_t>(nodes[k]);
-                quiet = std::fabs(voltages[n] - cache.v_at_eval[k]) <= vtol;
-            }
+    fold(ctx, voltages, opts, forces);
+}
+
+double Mna_system::fold_target(std::int32_t target) const
+{
+    const auto t = static_cast<std::size_t>(target);
+    double acc = 0.0;
+    for (std::int32_t k = fold_ptr_[t]; k < fold_ptr_[t + 1]; ++k) {
+        acc += values_[static_cast<std::size_t>(
+            fold_src_[static_cast<std::size_t>(k)])];
+    }
+    return acc;
+}
+
+/// Re-sum the dirty targets (or all of them), then the voltage-
+/// independent tail: gmin, initial-condition forcing, and the
+/// floating-source branch equations, in that order per entry.
+void Mna_system::fold(const Eval_context& ctx,
+                      const std::vector<double>& voltages,
+                      const Newton_options& opts,
+                      std::span<const Forced_node> forces)
+{
+    double* a = matrix_->value_data();
+    const auto nnz = static_cast<std::int32_t>(matrix_->nonzeros());
+    const auto store = [&](std::int32_t t) {
+        double acc = fold_target(t);
+        const auto ut = static_cast<std::size_t>(t);
+        if (t < nnz) {
+            if (target_flags_[ut] & gmin_flag) acc += opts.gmin;
+            a[ut] = acc;
         } else {
-            // Within-solve replay assumes an iterate-independent stamp,
-            // which only holds for linear companions and sources.
-            quiet = cache.valid && !new_step && !dev.is_nonlinear();
+            rhs_[static_cast<std::size_t>(t - nnz)] = acc;
         }
-        if (quiet) {
-            for (const auto& [slot, g] : cache.matrix_adds) {
-                matrix_->add_at_slot(slot, g);
-            }
-            for (const auto& [row, v] : cache.rhs_adds) {
-                rhs_[static_cast<std::size_t>(row)] += v;
-            }
-            continue;
+        target_flags_[ut] &= static_cast<unsigned char>(~dirty_flag);
+    };
+
+    const bool full = !assembled_ || opts.gmin != folded_gmin_ ||
+                      !forces.empty() || had_forces_;
+    if (full) {
+        const auto targets = static_cast<std::int32_t>(target_flags_.size());
+        for (std::int32_t t = 0; t < targets; ++t) store(t);
+        for (const Forced_node& f : forces) {
+            const int row = solve_index_[static_cast<std::size_t>(f.node)];
+            if (row < 0) continue;
+            a[diag_slot_[static_cast<std::size_t>(row)]] += f.conductance;
+            rhs_[static_cast<std::size_t>(row)] += f.conductance * f.voltage;
         }
-        caching.begin(cache);
-        dev.stamp(caching, ctx);
-        count_evaluation(dev, ctx);
-        if (dev.stamp_voltage_only()) {
-            const auto& nodes = dev.nodes();
-            cache.v_at_eval.resize(nodes.size());
-            for (std::size_t k = 0; k < nodes.size(); ++k) {
-                cache.v_at_eval[k] =
-                    voltages[static_cast<std::size_t>(nodes[k])];
+        // KCL columns: branch current flows into pos, out of neg.
+        constexpr double branch_signs[4] = {-1.0, 1.0, 1.0, -1.0};
+        for (const Branch& b : branches_) {
+            for (int k = 0; k < 4; ++k) {
+                if (b.slots[k] >= 0) a[b.slots[k]] += branch_signs[k];
             }
         }
-        cache.valid = true;
+    } else {
+        for (const std::int32_t t : dirty_) store(t);
     }
+    dirty_.clear();
 
-    stamp_fixed(ctx, voltages, opts, forces);
-}
-
-void Mna_system::count_evaluation(const Device& dev, const Eval_context& ctx)
-{
-    if (dev.is_nonlinear() ||
-        (dev.keeps_history() && ctx.mode == Analysis_mode::transient)) {
-        ++counters_.device_evaluations;
-    }
-}
-
-/// Voltage-independent tail shared by both assembly passes: gmin,
-/// initial-condition forcing, and the floating-source branch equations.
-void Mna_system::stamp_fixed(const Eval_context& ctx,
-                             const std::vector<double>& voltages,
-                             const Newton_options& opts,
-                             std::span<const Forced_node> forces)
-{
-    // gmin on every node diagonal.
-    for (std::size_t u = 0; u < unknown_nodes_.size(); ++u) {
-        matrix_->add(static_cast<int>(u), static_cast<int>(u), opts.gmin);
-    }
-
-    // Initial-condition forcing.
-    for (const Forced_node& f : forces) {
-        const int row = solve_index_[static_cast<std::size_t>(f.node)];
-        if (row < 0) continue;
-        matrix_->add(row, row, f.conductance);
-        rhs_[static_cast<std::size_t>(row)] += f.conductance * f.voltage;
-    }
-
-    // Floating-source branch equations.
+    // Floating-source branch equations: v(pos) - v(neg) = value(t), with
+    // known terminal voltages moved to the RHS.
     for (const Branch& b : branches_) {
         const Node pos = b.source->pos();
         const Node neg = b.source->neg();
-        const int prow = solve_index_[static_cast<std::size_t>(pos)];
-        const int nrow = solve_index_[static_cast<std::size_t>(neg)];
         double v_rhs = b.source->value(ctx.time);
-        // KCL columns: branch current flows into pos, out of neg.
-        if (prow >= 0) {
-            matrix_->add(prow, b.index, -1.0);
-            matrix_->add(b.index, prow, 1.0);
-        } else {
-            v_rhs -= voltages[static_cast<std::size_t>(pos)];
-        }
-        if (nrow >= 0) {
-            matrix_->add(nrow, b.index, 1.0);
-            matrix_->add(b.index, nrow, -1.0);
-        } else {
-            v_rhs += voltages[static_cast<std::size_t>(neg)];
-        }
-        rhs_[static_cast<std::size_t>(b.index)] += v_rhs;
+        if (b.slots[0] < 0) v_rhs -= voltages[static_cast<std::size_t>(pos)];
+        if (b.slots[2] < 0) v_rhs += voltages[static_cast<std::size_t>(neg)];
+        rhs_[static_cast<std::size_t>(b.index)] = 0.0 + v_rhs;
     }
+
+    assembled_ = true;
+    folded_gmin_ = opts.gmin;
+    had_forces_ = !forces.empty();
 }
 
 int Mna_system::solve(const Eval_context& ctx_in,
@@ -417,7 +658,7 @@ int Mna_system::solve_direct(Eval_context ctx, std::vector<double>& voltages,
 
     for (int iter = 1; iter <= max_iter; ++iter) {
         ctx.voltages = voltages.data();
-        assemble(ctx, voltages, opts, forces);
+        load(ctx, voltages, opts, iter == 1, forces);
 
         lu_->factor(*matrix_, opts.pivot_floor);
         ++counters_.lu_factorizations;
@@ -526,8 +767,8 @@ int Mna_system::solve_reuse(Eval_context ctx, std::vector<double>& voltages,
                             std::span<const Forced_node> forces)
 {
     // Delta-residual (chord) Newton.  The Jacobian and linearization RHS
-    // are assembled every iteration — with quiet nonlinear devices served
-    // from their stamp caches (assemble_reuse) — and only the linear
+    // are assembled every iteration — with quiet nonlinear devices keeping
+    // their last stamp values (load) — and only the linear
     // solve runs on a possibly stale factorization:
     //
     //     r = rhs - J x      (assembled J and rhs, SpMV)
@@ -557,7 +798,7 @@ int Mna_system::solve_reuse(Eval_context ctx, std::vector<double>& voltages,
 
     for (int iter = 1; iter <= max_iter; ++iter) {
         ctx.voltages = voltages.data();
-        assemble_reuse(ctx, voltages, opts, iter == 1, forces);
+        load(ctx, voltages, opts, iter == 1, forces);
         ++counters_.newton_iterations;
 
         const bool refresh = !forces.empty() || confirm ||
@@ -658,12 +899,20 @@ int Mna_system::solve_reuse(Eval_context ctx, std::vector<double>& voltages,
 void Mna_system::reset_reuse_state()
 {
     factored_ = false;
-    for (Device_cache& c : device_cache_) c.valid = false;
+    statics_stale_ = true;
+    std::fill(v_eval_.begin(), v_eval_.end(),
+              std::numeric_limits<double>::quiet_NaN());
 }
 
 void Mna_system::accept(const Eval_context& ctx)
 {
-    for (const auto& dev : circuit_->devices()) dev->accept_step(ctx);
+    for (const Bound_capacitor& c : capacitors_) {
+        c.capacitor->accept_step(ctx);
+    }
+    const auto& devices = circuit_->devices();
+    for (const std::int32_t d : history_devices_) {
+        devices[static_cast<std::size_t>(d)]->accept_step(ctx);
+    }
 }
 
 std::vector<double> Mna_system::breakpoints(double tstop) const

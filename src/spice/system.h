@@ -1,14 +1,52 @@
-// Compiled MNA system: node classification, pattern assembly, and the
-// Newton-Raphson solve shared by DC and transient analyses.
+// Compiled MNA system: node classification, the compiled stamp program,
+// and the Newton-Raphson solve shared by DC and transient analyses.
 //
 // Classification: a voltage source with its negative terminal on ground
 // makes its positive node "driven" (known voltage, no unknown — the common
 // case for rails and clocks, and what keeps the matrix a pure conductance
 // matrix).  Floating voltage sources get a branch-current unknown appended
 // after the node unknowns, where elimination fill guarantees their pivots.
+//
+// Stamp program: evaluation is separated from accumulation.
+//
+//   * Binding (compile time, SPICE3 TSTALLOC style).  Every device is
+//     stamped once per analysis mode against a recorder, and each stamp
+//     call becomes one pre-routed op: a CSR matrix slot, an RHS row, a
+//     driven-column RHS entry (-g * v(node), node kept in a side table),
+//     or a drop (ground/driven equation rows, ground columns — adding a
+//     signed zero to a sum that starts at +0.0 is an exact identity).
+//     The device.h contract (a fixed stamp-call sequence per analysis
+//     mode) is what makes the tape valid; checked builds assert every
+//     replayed call's (eq, wrt) against its bound op.
+//   * Evaluation.  A device writes stamp VALUES into its own range of a
+//     value slab; a write that changes the stored bits marks its matrix
+//     slot or RHS row dirty.  Devices are scheduled by class, decided at
+//     compile time:
+//       - static: linear, voltage-only, no driven column (resistors) —
+//         evaluated once per run, after reset_reuse_state();
+//       - per step: linear with time/history dependence (capacitor
+//         companions, sources) — evaluated on the first Newton iteration
+//         of each solve, where t, dt and history change; capacitors go
+//         through Capacitor::stamp_into() without virtual dispatch;
+//       - checked: voltage-only and nonlinear, or linear with a driven
+//         column — re-evaluated every iteration on the direct tier, and
+//         behind the per-device device_bypass_vtol drift check on the
+//         reuse tiers;
+//       - always: nonlinear devices that are not voltage-only.
+//     Devices that make no stamp calls in DC (capacitors are open there)
+//     are skipped in DC, with their slab values held at +0.0.
+//   * Fold.  Each matrix slot and RHS row is the sum of its
+//     contributions in device order, starting from 0.0, followed by gmin,
+//     initial-condition forcing and the floating-source branch stamps —
+//     the exact sequence of additions a clear-then-accumulate assembly
+//     performs, so every solver tier gets bit-identical matrices.  Only
+//     dirty entries are re-folded; everything else carries over from the
+//     previous iteration.  The first assembly, a gmin change, and any
+//     forced solve (and the one after it) fold everything.
 #ifndef MPSRAM_SPICE_SYSTEM_H
 #define MPSRAM_SPICE_SYSTEM_H
 
+#include <cstdint>
 #include <memory>
 #include <span>
 #include <vector>
@@ -26,9 +64,9 @@ namespace mpsram::spice {
 ///   bypass    — delta-residual (chord) Newton with device-level bypass:
 ///               the Jacobian and RHS are assembled every iteration, with
 ///               quiet nonlinear devices (terminal movement below
-///               device_bypass_vtol) replaying cached stamps instead of
-///               re-running the compact model, and the linear solve
-///               reuses the last LU factorization until the operating
+///               device_bypass_vtol) keeping their last stamp values
+///               instead of re-running the compact model, and the linear
+///               solve reuses the last LU factorization until the operating
 ///               point drifts, dt leaves the factor-time band, or
 ///               convergence stalls.  Converged solutions satisfy the
 ///               assembled residual — exact up to g * device_bypass_vtol
@@ -71,8 +109,8 @@ struct Newton_options {
     /// bypass/iterative: device-level bypass (the classic SPICE BYPASS
     /// lever).  A nonlinear device whose terminal voltages — driven
     /// terminals included — all moved less than this [V] since its last
-    /// evaluation replays its cached stamp entries instead of re-running
-    /// the compact model.  The replayed linearization is off by at most
+    /// evaluation keeps its last stamp values instead of re-running the
+    /// compact model.  The kept linearization is off by at most
     /// g * vtol, which the 0.5% agreement gate bounds end to end; the
     /// direct tier never uses it.  0 disables.
     double device_bypass_vtol = 1e-4;
@@ -93,8 +131,8 @@ struct Solver_counters {
     long long lu_factorizations = 0;  ///< LU factors + ILU(0) refreshes
     long long bypass_hits = 0;
     /// Compact-model or companion evaluations: nonlinear devices and
-    /// history devices in transient mode whose stamps were recomputed
-    /// (not replayed) for an assembly.
+    /// history devices whose stamps were recomputed (not carried over)
+    /// for an assembly.
     long long device_evaluations = 0;
 };
 
@@ -124,7 +162,8 @@ public:
               const Newton_options& opts,
               std::span<const Forced_node> forces = {});
 
-    /// Notify every device that the step at `ctx` was accepted.
+    /// Notify the history-keeping devices (Device::keeps_history) that
+    /// the step at `ctx` was accepted.
     // lint:allow(raw-socket) -- a stepper callback, not the syscall
     void accept(const Eval_context& ctx);
 
@@ -140,33 +179,52 @@ public:
     const Solver_counters& counters() const { return counters_; }
 
     /// Drop all cross-solve reuse state (stale factorization, device
-    /// stamp caches).  Analyses call this once per run so a result is a
+    /// bypass records) and re-evaluate the static devices at the next
+    /// assembly.  Analyses call this once per run so a result is a
     /// function of that run's inputs alone — never of what a reused
-    /// workspace solved before.  Load-bearing for MC: samples change
-    /// device parameters without moving the voltages the staleness
-    /// checks watch.
+    /// workspace solved before.  Load-bearing for MC and sweeps: device
+    /// value edits (Resistor::set_resistance) take effect here, and
+    /// samples change device parameters without moving the voltages the
+    /// staleness checks watch.
     void reset_reuse_state();
 
 private:
-    class Assembly_stamper;
-    class Pattern_stamper;
-    class Caching_stamper;
+    class Binder;
+    class Value_writer;
+
+    /// Where one stamp call lands: a fold target (matrix slot, or
+    /// nnz + RHS row) or none (-1); `node` is the driven column whose
+    /// voltage scales a driven-column entry (ground_node otherwise).
+    struct Route {
+        std::int32_t target = -1;
+        Node node = ground_node;
+        bool operator==(const Route&) const = default;
+    };
 
     void classify();
-    void build_pattern();
+    void compile();
+    void bind_ops();
+    void build_fold_index();
+    void schedule();
 
-    void assemble(const Eval_context& ctx, const std::vector<double>& voltages,
-                  const Newton_options& opts,
-                  std::span<const Forced_node> forces);
-    void assemble_reuse(const Eval_context& ctx,
-                        const std::vector<double>& voltages,
-                        const Newton_options& opts, bool new_step,
-                        std::span<const Forced_node> forces);
-    void count_evaluation(const Device& dev, const Eval_context& ctx);
-    void stamp_fixed(const Eval_context& ctx,
-                     const std::vector<double>& voltages,
-                     const Newton_options& opts,
-                     std::span<const Forced_node> forces);
+    Route route_jacobian(Node eq, Node wrt) const;
+    Route route_rhs(Node eq) const;
+    Route decode(std::int32_t op) const;
+
+    /// One Newton iteration's system: evaluate what the schedule says
+    /// may have changed, then fold.  `new_step`: first iteration of a
+    /// solve (t, dt and history just moved).
+    void load(const Eval_context& ctx, const std::vector<double>& voltages,
+              const Newton_options& opts, bool new_step,
+              std::span<const Forced_node> forces);
+    void evaluate(std::int32_t device, Value_writer& writer,
+                  const Eval_context& ctx);
+    void evaluate_capacitors(Value_writer& writer, const Eval_context& ctx);
+    void fold(const Eval_context& ctx, const std::vector<double>& voltages,
+              const Newton_options& opts,
+              std::span<const Forced_node> forces);
+    double fold_target(std::int32_t target) const;
+
     int solve_direct(Eval_context ctx, std::vector<double>& voltages,
                      const Newton_options& opts,
                      std::span<const Forced_node> forces);
@@ -192,6 +250,9 @@ private:
     struct Branch {
         const Voltage_source* source;
         int index;  ///< unknown index of the branch current
+        /// Bound matrix slots of (pos, br), (br, pos), (neg, br),
+        /// (br, neg); -1 where the terminal is not an unknown.
+        int slots[4] = {-1, -1, -1, -1};
     };
     std::vector<Branch> branches_;
 
@@ -203,6 +264,59 @@ private:
     std::vector<double> rhs_;
     std::vector<double> solution_;
     std::vector<double> branch_currents_;
+
+    // --- stamp program (file comment above) ----------------------------------
+    // Op encoding, one int32 per stamp call: >= 0 a fold target; -1 a
+    // drop; <= -2 entry (-op - 2) of driven_ops_.
+    static constexpr std::int32_t drop_op = -1;
+    struct Driven_op {
+        std::int32_t target;  ///< nnz + RHS row
+        Node node;            ///< driven column
+    };
+    std::vector<std::int32_t> ops_;
+    std::vector<Driven_op> driven_ops_;
+    std::vector<std::int32_t> device_op_;     ///< per device, first op (+end)
+    std::vector<std::int32_t> device_value_;  ///< per device, first value
+    std::vector<double> values_;              ///< one per non-drop op
+    // Fold index: the value slots of target t, in device order, are
+    // fold_src_[fold_ptr_[t] .. fold_ptr_[t + 1]).
+    std::vector<std::int32_t> fold_ptr_;
+    std::vector<std::int32_t> fold_src_;
+    static constexpr unsigned char dirty_flag = 1;
+    static constexpr unsigned char gmin_flag = 2;  ///< node diagonal slot
+    std::vector<unsigned char> target_flags_;
+    std::vector<std::int32_t> dirty_;
+    std::vector<int> diag_slot_;  ///< node unknown -> diagonal slot
+
+    // Schedule (device indices).  The per-step and always lists hold the
+    // devices that also stamp in DC first: [0, *_dc_end_).
+    std::vector<std::int32_t> static_devices_;
+    struct Bound_capacitor {
+        std::int32_t device;
+        Capacitor* capacitor;
+    };
+    /// Per-step devices that are capacitors, stamped and accepted through
+    /// direct (non-virtual) calls; the rest of the per-step class.
+    std::vector<Bound_capacitor> capacitors_;
+    std::vector<std::int32_t> step_devices_;
+    std::vector<std::int32_t> always_devices_;
+    std::vector<std::int32_t> checked_devices_;
+    std::vector<std::int32_t> history_devices_;  ///< besides capacitors_
+    std::size_t step_dc_end_ = 0;
+    std::size_t always_dc_end_ = 0;
+    std::vector<unsigned char> counted_;  ///< per device: counts as an eval
+    // Device-level bypass record of the checked devices: terminal nodes
+    // and their voltages at the last recorded evaluation (NaN = none),
+    // flat, device k at [check_ptr_[k], check_ptr_[k + 1]).
+    std::vector<std::int32_t> check_ptr_;
+    std::vector<Node> check_nodes_;
+    std::vector<double> v_eval_;
+
+    bool assembled_ = false;      ///< a full fold has happened
+    bool assembled_dc_ = false;   ///< mode of the last assembly
+    bool statics_stale_ = true;
+    bool had_forces_ = false;
+    double folded_gmin_ = 0.0;
 
     // Factorization-reuse state (bypass / iterative tiers).  The reuse
     // validity conditions live in factor_stale(); `v_at_factor_` is the
@@ -219,21 +333,6 @@ private:
     std::unique_ptr<Ilu0> ilu_;       ///< lazy; lives with the workspace
     Bicgstab_scratch krylov_scratch_;
     std::vector<double> x_, residual_, delta_;
-
-    // Device-level bypass state (reuse tiers only; see
-    // Newton_options::device_bypass_vtol).  One cache per device, indexed
-    // by position in circuit_->devices(); replay preserves the stamp
-    // order of a fresh assembly, so per-tier bitwise determinism holds.
-    // Validity rests on the nonlinear-device contract that stamps depend
-    // only on terminal voltages (true for the EKV MOSFET) — the drift
-    // check against `v_at_eval` is the sole invalidation trigger.
-    struct Device_cache {
-        std::vector<std::pair<int, double>> matrix_adds;  ///< (slot, g)
-        std::vector<std::pair<int, double>> rhs_adds;     ///< (row, v)
-        std::vector<double> v_at_eval;  ///< terminal voltages at eval
-        bool valid = false;
-    };
-    std::vector<Device_cache> device_cache_;
 };
 
 } // namespace mpsram::spice

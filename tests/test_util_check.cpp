@@ -11,6 +11,7 @@
 #include "core/runner.h"
 #include "spice/analysis.h"
 #include "spice/circuit.h"
+#include "util/contracts.h"
 
 namespace {
 
@@ -171,6 +172,77 @@ TEST(Check, CheckedBuildRejectsNanStampedDevice)
     // because fabs(NaN delta) > tol is also false — a silent wrong answer.
     EXPECT_THROW(spice::dc_operating_point(c), util::Contract_error);
 #endif
+}
+
+/// Test-only device breaking the stamp-call contract of device.h: which
+/// Jacobian entry it stamps depends on the iterate.  Nonlinear, so it is
+/// re-stamped on every Newton iteration.
+class Wandering_device : public spice::Device {
+public:
+    Wandering_device(std::string name, spice::Node a, spice::Node b)
+        : Device(std::move(name), {a, b})
+    {
+    }
+
+    bool is_nonlinear() const override { return true; }
+    void stamp(spice::Stamper& s,
+               const spice::Eval_context& ctx) const override
+    {
+        const spice::Node n = ctx.v(nodes()[0]) > 0.25 ? nodes()[0]
+                                                       : nodes()[1];
+        s.jacobian(n, n, 1e-3);
+    }
+};
+
+TEST(Check, CheckedBuildRejectsStampCallOffItsBoundOp)
+{
+#ifndef MPSRAM_CHECKED
+    GTEST_SKIP() << "contract layer compiled out in this build";
+#else
+    // Bound at zero volts to (n3, n3); once n2 rises the device stamps
+    // (n2, n2) instead, which would land in the wrong slot unchecked.
+    spice::Circuit c;
+    const spice::Node n1 = c.node("n1");
+    const spice::Node n2 = c.node("n2");
+    const spice::Node n3 = c.node("n3");
+    c.add_voltage_source("V1", n1, spice::ground_node,
+                         spice::Waveform::dc(1.0));
+    c.add_resistor("R1", n1, n2, 1000.0);
+    c.add_resistor("R2", n2, n3, 1000.0);
+    c.add_resistor("R3", n3, spice::ground_node, 1000.0);
+    c.devices().push_back(
+        std::make_unique<Wandering_device>("XW", n2, n3));
+    EXPECT_THROW(spice::dc_operating_point(c), util::Contract_error);
+#endif
+}
+
+/// Test-only device whose DC stamps are neither its transient ones nor
+/// empty — a sequence the stamp program cannot bind.
+class Mode_switching_device : public spice::Device {
+public:
+    Mode_switching_device(std::string name, spice::Node a)
+        : Device(std::move(name), {a})
+    {
+    }
+
+    void stamp(spice::Stamper& s,
+               const spice::Eval_context& ctx) const override
+    {
+        s.jacobian(nodes()[0], nodes()[0], 1e-3);
+        if (ctx.mode == spice::Analysis_mode::transient) {
+            s.rhs(nodes()[0], 1e-6);
+        }
+    }
+};
+
+TEST(Check, CompileRejectsDcStampSequenceOfAnotherShape)
+{
+    spice::Circuit c;
+    const spice::Node n1 = c.node("n1");
+    c.add_resistor("R1", n1, spice::ground_node, 1000.0);
+    c.devices().push_back(
+        std::make_unique<Mode_switching_device>("XM", n1));
+    EXPECT_THROW(spice::dc_operating_point(c), util::Invariant_error);
 }
 
 } // namespace
