@@ -326,10 +326,11 @@ int Query_service::serve()
         // 3. Drain every readable client and admit ALL complete lines
         //    before executing anything, so a pipelined burst observes the
         //    queue bound atomically (overflow -> immediate busy envelope).
-        //    Removal is deferred: `dead` (broken write / oversized line)
-        //    is reaped before execution, `eof` (orderly half-close) only
-        //    AFTER the execute loop, so a client that pipelines requests
-        //    and shuts down its write side still gets every answer.
+        //    Removal is deferred: `dead` (failed read or write, oversized
+        //    line) is reaped before execution, `eof` (orderly half-close)
+        //    only AFTER the execute loop, so a client that pipelines
+        //    requests and shuts down its write side still gets every
+        //    answer.
         std::vector<std::uint64_t> dead;
         std::vector<std::uint64_t> eof;
         for (const std::size_t index : ready) {
@@ -340,14 +341,23 @@ int Query_service::serve()
             Client& client = it->second;
             bool hung_up = false;
             bool broken = false;
-            while (auto n = client.sock.try_read(buf, sizeof buf)) {
-                if (*n == 0) {
-                    hung_up = true;
-                    break;
+            try {
+                while (auto n = client.sock.try_read(buf, sizeof buf)) {
+                    if (*n == 0) {
+                        hung_up = true;
+                        break;
+                    }
+                    client.lines.append(buf, *n);
                 }
-                client.lines.append(buf, *n);
+            } catch (const std::exception&) {
+                // A failed read is a dead client, like a broken write:
+                // Linux reports ECONNRESET here when a peer closes with
+                // our reply still unread.
+                broken = true;
             }
-            while (auto line = client.lines.pop_line()) {
+            while (!broken) {
+                auto line = client.lines.pop_line();
+                if (!line) break;
                 if (queue.size() >= opts_.max_pending) {
                     if (!send(cid, busy_line(*line))) {
                         broken = true;

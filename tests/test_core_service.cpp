@@ -638,4 +638,31 @@ TEST(CoreServiceDaemon, VanishingBusyClientDoesNotKillTheDaemon)
     EXPECT_EQ(server.wait(), 0);
 }
 
+TEST(CoreServiceDaemon, ClientClosingOverUnreadReplyDoesNotKillTheDaemon)
+{
+    const std::string socket_path = "service_test_reset.sock";
+    core::Service_options opts;
+    opts.socket_path = socket_path;
+    opts.poll_interval_ms = 10;
+    Server server(opts);
+    ASSERT_GT(server.pid, 0);
+
+    // Ask, wait until the reply is readable, then close without reading
+    // it.  Linux turns that close into ECONNRESET on the daemon's next
+    // read of this connection.
+    {
+        util::Socket reader = connect_with_retry(socket_path);
+        reader.write_all(op_line("status") + "\n", 10000);
+        ASSERT_TRUE(util::poll_readable(reader.fd(), 10000));
+    } // closed here, the reply unread
+
+    util::Socket admin = connect_with_retry(socket_path);
+    const auto responses = exchange(admin, {op_line("status")}, 1);
+    ASSERT_EQ(responses.size(), 1u) << "daemon stopped answering";
+    EXPECT_TRUE(util::Json::parse(responses[0]).at("ok").as_bool());
+
+    exchange(admin, {op_line("shutdown")}, 1);
+    EXPECT_EQ(server.wait(), 0);
+}
+
 } // namespace
