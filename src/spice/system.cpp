@@ -39,38 +39,47 @@ public:
 
     void jacobian(Node eq, Node wrt, double) override
     {
-        if (pass_ == Pass::pattern) {
+        switch (pass_) {
+        case Pass::pattern: {
             const int row = sys_->solve_index_[static_cast<std::size_t>(eq)];
-            const int col = sys_->solve_index_[static_cast<std::size_t>(wrt)];
+            const int col =
+                sys_->solve_index_[static_cast<std::size_t>(wrt)];
             if (row >= 0 && col >= 0) entries.push_back({row, col});
-            return;
+            break;
         }
-        record(sys_->route_jacobian(eq, wrt));
+        case Pass::bind:
+            sys_->ops_.push_back(sys_->bind_jacobian(eq, wrt));
+            break;
+        case Pass::verify:
+            verify(sys_->is_bound_jacobian(next(), eq, wrt));
+            break;
+        }
     }
 
     void rhs(Node eq, double) override
     {
-        if (pass_ == Pass::pattern) return;
-        record(sys_->route_rhs(eq));
+        switch (pass_) {
+        case Pass::pattern:
+            break;
+        case Pass::bind:
+            sys_->ops_.push_back(sys_->bind_rhs(eq));
+            break;
+        case Pass::verify:
+            verify(sys_->is_bound_rhs(next(), eq));
+            break;
+        }
     }
 
 private:
-    void record(const Route& r)
+    /// Verify pass: the bound op this call should match (drop past the
+    /// device's end, which fails the count check instead).
+    std::int32_t next()
     {
         ++calls_;
-        if (pass_ == Pass::verify) {
-            matches_ = matches_ && op_ < end_ &&
-                       sys_->decode(sys_->ops_[static_cast<std::size_t>(
-                           op_++)]) == r;
-            return;
-        }
-        std::int32_t op = r.target;
-        if (r.node != ground_node) {
-            op = -2 - static_cast<std::int32_t>(sys_->driven_ops_.size());
-            sys_->driven_ops_.push_back({r.target, r.node});
-        }
-        sys_->ops_.push_back(op);
+        return op_ < end_ ? sys_->ops_[static_cast<std::size_t>(op_++)]
+                          : drop_op;
     }
+    void verify(bool bound) { matches_ = matches_ && bound; }
 
     Mna_system* sys_;
     Pass pass_;
@@ -112,7 +121,8 @@ public:
         // tolerance test) long after the cause.
         MPSRAM_ASSERT(std::isfinite(g), "non-finite Jacobian stamp",
                       MPSRAM_VAL(g), MPSRAM_VAL(eq), MPSRAM_VAL(wrt));
-        MPSRAM_ASSERT(bound_is(sys_->route_jacobian(eq, wrt)),
+        MPSRAM_ASSERT(op_ < end_ &&
+                          sys_->is_bound_jacobian(ops_[op_], eq, wrt),
                       "stamp call does not match its bound op",
                       MPSRAM_VAL(eq), MPSRAM_VAL(wrt), MPSRAM_VAL(op_));
         const std::int32_t op = ops_[op_++];
@@ -130,7 +140,7 @@ public:
     {
         MPSRAM_ASSERT(std::isfinite(value), "non-finite RHS stamp",
                       MPSRAM_VAL(value), MPSRAM_VAL(eq));
-        MPSRAM_ASSERT(bound_is(sys_->route_rhs(eq)),
+        MPSRAM_ASSERT(op_ < end_ && sys_->is_bound_rhs(ops_[op_], eq),
                       "stamp call does not match its bound op",
                       MPSRAM_VAL(eq), MPSRAM_VAL(op_));
         const std::int32_t op = ops_[op_++];
@@ -142,7 +152,7 @@ public:
     {
         for (begin(device); op_ < end_; ++op_) {
             const std::int32_t op = ops_[op_];
-            if (op != drop_op) write(sys_->decode(op).target, 0.0);
+            if (op != drop_op) write(sys_->target_of(op), 0.0);
         }
     }
 
@@ -161,14 +171,6 @@ private:
             flags |= dirty_flag;
             sys_->dirty_.push_back(target);
         }
-    }
-
-    /// Checked builds: a stamp call must be the next one the device's
-    /// bound program expects, routed identically (the fixed stamp-call
-    /// sequence contract of device.h).
-    bool bound_is(const Route& r) const
-    {
-        return op_ < end_ && sys_->decode(ops_[op_]) == r;
     }
 
     Mna_system* sys_;
@@ -305,31 +307,52 @@ void Mna_system::compile()
     schedule();
 }
 
-Mna_system::Route Mna_system::route_jacobian(Node eq, Node wrt) const
+std::int32_t Mna_system::bind_jacobian(Node eq, Node wrt)
 {
     const int row = solve_index_[static_cast<std::size_t>(eq)];
-    if (row < 0) return {};  // ground or driven equation: dropped
     const int col = solve_index_[static_cast<std::size_t>(wrt)];
-    if (col >= 0) return {matrix_->slot(row, col), ground_node};
-    // Ground column: -g * 0 adds a signed zero, an exact identity.
-    if (wrt == ground_node) return {};
-    return {static_cast<std::int32_t>(matrix_->nonzeros()) + row, wrt};
+    // Ground or driven equation: dropped.  Ground column: -g * 0 would add
+    // a signed zero to a sum that starts at +0.0, an exact identity.
+    if (row < 0 || (col < 0 && wrt == ground_node)) return drop_op;
+    if (col >= 0) return matrix_->slot(row, col);
+    driven_ops_.push_back(
+        {static_cast<std::int32_t>(matrix_->nonzeros()) + row, wrt});
+    return -1 - static_cast<std::int32_t>(driven_ops_.size());
 }
 
-Mna_system::Route Mna_system::route_rhs(Node eq) const
+std::int32_t Mna_system::bind_rhs(Node eq) const
 {
     const int row = solve_index_[static_cast<std::size_t>(eq)];
-    if (row < 0) return {};
-    return {static_cast<std::int32_t>(matrix_->nonzeros()) + row,
-            ground_node};
+    if (row < 0) return drop_op;
+    return static_cast<std::int32_t>(matrix_->nonzeros()) + row;
 }
 
-Mna_system::Route Mna_system::decode(std::int32_t op) const
+bool Mna_system::is_bound_jacobian(std::int32_t op, Node eq, Node wrt) const
 {
-    if (op >= 0) return {op, ground_node};
-    if (op == drop_op) return {};
+    const int row = solve_index_[static_cast<std::size_t>(eq)];
+    const int col = solve_index_[static_cast<std::size_t>(wrt)];
+    if (row < 0 || (col < 0 && wrt == ground_node)) return op == drop_op;
+    if (col >= 0) {
+        const auto r = static_cast<std::size_t>(row);
+        return op >= matrix_->row_ptr()[r] &&
+               op < matrix_->row_ptr()[r + 1] &&
+               matrix_->cols()[static_cast<std::size_t>(op)] == col;
+    }
+    if (op >= drop_op) return false;
     const Driven_op& d = driven_ops_[static_cast<std::size_t>(-2 - op)];
-    return {d.target, d.node};
+    return d.node == wrt &&
+           d.target == static_cast<std::int32_t>(matrix_->nonzeros()) + row;
+}
+
+bool Mna_system::is_bound_rhs(std::int32_t op, Node eq) const
+{
+    return op == bind_rhs(eq);
+}
+
+std::int32_t Mna_system::target_of(std::int32_t op) const
+{
+    if (op >= drop_op) return op;
+    return driven_ops_[static_cast<std::size_t>(-2 - op)].target;
 }
 
 void Mna_system::bind_ops()
@@ -366,7 +389,7 @@ void Mna_system::build_fold_index()
     fold_ptr_.assign(targets + 1, 0);
     for (const std::int32_t op : ops_) {
         if (op == drop_op) continue;
-        ++fold_ptr_[static_cast<std::size_t>(decode(op).target) + 1];
+        ++fold_ptr_[static_cast<std::size_t>(target_of(op)) + 1];
     }
     for (std::size_t t = 0; t < targets; ++t) {
         fold_ptr_[t + 1] += fold_ptr_[t];
@@ -376,7 +399,7 @@ void Mna_system::build_fold_index()
     std::int32_t value = 0;
     for (const std::int32_t op : ops_) {
         if (op == drop_op) continue;
-        const auto t = static_cast<std::size_t>(decode(op).target);
+        const auto t = static_cast<std::size_t>(target_of(op));
         fold_src_[static_cast<std::size_t>(fill[t]++)] = value++;
     }
 
@@ -423,12 +446,15 @@ void Mna_system::schedule()
                 " stamps nothing in DC");
         }
 
-        counted_[i] = dev.is_nonlinear() || dev.keeps_history();
-        if (auto* cap = dynamic_cast<Capacitor*>(devices[i].get())) {
-            capacitors_.push_back({id, cap});
-            continue;
+        const bool history = dev.keeps_history();
+        counted_[i] = dev.is_nonlinear() || history;
+        if (history) {
+            if (auto* cap = dynamic_cast<Capacitor*>(devices[i].get())) {
+                capacitors_.push_back({id, cap});
+                continue;
+            }
+            history_devices_.push_back(id);
         }
-        if (dev.keeps_history()) history_devices_.push_back(id);
         if (end == first) continue;  // stamps nothing (voltage sources)
         if (!dev.is_nonlinear() && vo && !driven) {
             static_devices_.push_back(id);

@@ -192,24 +192,20 @@ private:
     class Binder;
     class Value_writer;
 
-    /// Where one stamp call lands: a fold target (matrix slot, or
-    /// nnz + RHS row) or none (-1); `node` is the driven column whose
-    /// voltage scales a driven-column entry (ground_node otherwise).
-    struct Route {
-        std::int32_t target = -1;
-        Node node = ground_node;
-        bool operator==(const Route&) const = default;
-    };
-
     void classify();
     void compile();
     void bind_ops();
     void build_fold_index();
     void schedule();
 
-    Route route_jacobian(Node eq, Node wrt) const;
-    Route route_rhs(Node eq) const;
-    Route decode(std::int32_t op) const;
+    // Op encoding (see the stamp-program members below).  bind_* route
+    // one stamp call; is_bound_* check, in O(1), that a call routes to a
+    // given op; target_of is the fold target of an op (-1 for a drop).
+    std::int32_t bind_jacobian(Node eq, Node wrt);
+    std::int32_t bind_rhs(Node eq) const;
+    bool is_bound_jacobian(std::int32_t op, Node eq, Node wrt) const;
+    bool is_bound_rhs(std::int32_t op, Node eq) const;
+    std::int32_t target_of(std::int32_t op) const;
 
     /// One Newton iteration's system: evaluate what the schedule says
     /// may have changed, then fold.  `new_step`: first iteration of a
@@ -266,8 +262,9 @@ private:
     std::vector<double> branch_currents_;
 
     // --- stamp program (file comment above) ----------------------------------
-    // Op encoding, one int32 per stamp call: >= 0 a fold target; -1 a
-    // drop; <= -2 entry (-op - 2) of driven_ops_.
+    // Op encoding, one int32 per stamp call: >= 0 a fold target (matrix
+    // slot, or nnz + RHS row); -1 a drop; <= -2 entry (-op - 2) of
+    // driven_ops_, an RHS entry -g * v(node) of a driven column.
     static constexpr std::int32_t drop_op = -1;
     struct Driven_op {
         std::int32_t target;  ///< nnz + RHS row

@@ -289,8 +289,8 @@ spice::Circuit inverter_chain()
 
 TEST(SolverCounters, MosfetEvaluationsMatchPinnedCounts)
 {
-    // Pinned on the per-device stamp assembly this engine replaced; the
-    // scheduling of compact-model evaluations must not move.
+    // Which iterations re-run the compact model decides the bypass
+    // tier's result bits, so the counts are pinned, not just bounded.
     spice::Circuit c = inverter_chain();
     const spice::Node probe = c.find_node("in3");
     auto run = [&](Solver_policy policy) {
