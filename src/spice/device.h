@@ -14,7 +14,9 @@
 // re-stamps a device only when its class says its values may have
 // changed.  Checked builds (-DMPSRAM_CHECKED=ON) assert every replayed
 // call's (eq, wrt) against its bound op and the call count per device;
-// compilation rejects a DC sequence that is neither.
+// compilation rejects a DC sequence that is neither (checked for every
+// device that is not stamp_voltage_only(), whose stamp cannot depend on
+// the mode).
 #ifndef MPSRAM_SPICE_DEVICE_H
 #define MPSRAM_SPICE_DEVICE_H
 

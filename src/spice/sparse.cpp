@@ -43,11 +43,6 @@ Sparse_matrix::Sparse_matrix(std::size_t n,
     values_.assign(cols_.size(), 0.0);
 }
 
-void Sparse_matrix::clear_values()
-{
-    std::fill(values_.begin(), values_.end(), 0.0);
-}
-
 int Sparse_matrix::slot(int row, int col) const
 {
     const auto lo = cols_.begin() + row_ptr_[static_cast<std::size_t>(row)];

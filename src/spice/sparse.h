@@ -34,9 +34,6 @@ public:
     std::size_t size() const { return n_; }
     std::size_t nonzeros() const { return cols_.size(); }
 
-    /// Zero all stored values (pattern kept).
-    void clear_values();
-
     /// values[slot(row,col)] += v.  (row, col) must be in the pattern.
     /// A binary search per call: for setup and tests, not hot loops.
     void add(int row, int col, double v);

@@ -10,8 +10,9 @@
 // Stamp program: evaluation is separated from accumulation.
 //
 //   * Binding (compile time, SPICE3 TSTALLOC style).  Every device is
-//     stamped once per analysis mode against a recorder, and each stamp
-//     call becomes one pre-routed op: a CSR matrix slot, an RHS row, a
+//     stamped once against a recorder (and once more in DC when its
+//     stamp may depend on the mode), and each transient stamp call
+//     becomes one pre-routed op: a CSR matrix slot, an RHS row, a
 //     driven-column RHS entry (-g * v(node), node kept in a side table),
 //     or a drop (ground/driven equation rows, ground columns — adding a
 //     signed zero to a sum that starts at +0.0 is an exact identity).
