@@ -8,13 +8,13 @@
 #include <cmath>
 #include <cstring>
 #include <iostream>
-#include <random>
 
 #include "extract/extractor.h"
 #include "mc/worst_case.h"
 #include "pattern/engine.h"
 #include "sram/layout.h"
 #include "tech/technology.h"
+#include "util/rng.h"
 #include "util/table.h"
 #include "util/units.h"
 
@@ -127,10 +127,8 @@ void report(const Knobs& k)
 void search()
 {
     using units::nm;
-    std::mt19937_64 rng(42);
-    auto uni = [&](double lo, double hi) {
-        return std::uniform_real_distribution<double>(lo, hi)(rng);
-    };
+    util::Rng rng(42);
+    auto uni = [&](double lo, double hi) { return rng.uniform(lo, hi); };
 
     Knobs best = defaults();
     double best_err = evaluate(best).error;

@@ -10,12 +10,45 @@
 // and no step-counter table here — the surrogate/SPICE engine comparison
 // lives in bench_ext_yield.
 //
+// Per-layer entry: the substream draw every sample pays (Rng::stream plus
+// one LE3 sample_gaussian), timed alone over the same sample count and
+// written to BENCH_mc.json as rng_draw_ns.
+//
 //   $ ./bench_perf_mc [samples]
+#include <chrono>
+#include <cstdint>
 #include <cstdlib>
 #include <iostream>
 #include <string>
 
 #include "bench_driver.h"
+#include "mc/distribution.h"
+#include "pattern/engine.h"
+#include "tech/technology.h"
+#include "util/rng.h"
+
+namespace {
+
+/// Mean ns of one sample's draw as the Monte-Carlo loop makes it.
+double time_rng_draw(int samples)
+{
+    using namespace mpsram;
+    const auto engine =
+        pattern::make_engine(tech::Patterning_option::le3, tech::n10());
+    const mc::Distribution_options opts;
+    const std::uint64_t base =
+        util::Rng(opts.seed).child(engine->name()).seed();
+    pattern::Process_sample sample;
+    const auto t0 = std::chrono::steady_clock::now();
+    for (int i = 0; i < samples; ++i) {
+        util::Rng rng = util::Rng::stream(base, static_cast<std::uint64_t>(i));
+        engine->sample_gaussian_into(rng, opts.truncate_k, sample);
+    }
+    return 1e9 * bench::seconds_of(std::chrono::steady_clock::now() - t0) /
+           samples;
+}
+
+} // namespace
 
 int main(int argc, char** argv)
 {
@@ -48,8 +81,13 @@ int main(int argc, char** argv)
     };
     const bench::Scaling_outcome outcome = bench::run_thread_scaling(cfg);
 
+    const double rng_draw_ns = time_rng_draw(samples);
+    std::cout << "\nper-sample draw (Rng::stream + LE3 sample_gaussian): "
+              << rng_draw_ns << " ns\n";
+
     bench::write_bench_json(
         cfg, outcome, nullptr, nullptr, n,
-        {"\"samples\": " + std::to_string(samples) + ","});
+        {"\"samples\": " + std::to_string(samples) + ",",
+         "\"rng_draw_ns\": " + std::to_string(rng_draw_ns) + ","});
     return outcome.all_identical ? 0 : 1;
 }

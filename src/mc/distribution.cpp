@@ -169,11 +169,16 @@ Tdp_distribution metric_distribution(const pattern::Patterning_engine& engine,
         pregen = lhs_samples(engine, rng, opts);
     }
 
-    // Per-worker geometry scratch: realize_into overwrites one buffer per
+    // Per-worker scratch: realize_into overwrites one geometry buffer per
     // worker instead of allocating a Wire_array (nets, colors, strings)
-    // for every sample.  Worker assignment never reaches the results, so
-    // the determinism contract is untouched.
-    std::vector<geom::Wire_array> scratch(
+    // for every sample, and the process sample is drawn into a reused
+    // vector.  Worker assignment never reaches the results, so the
+    // determinism contract is untouched.
+    struct Worker_buffers {
+        pattern::Process_sample sample;
+        geom::Wire_array realized;
+    };
+    std::vector<Worker_buffers> scratch(
         static_cast<std::size_t>(opts.runner.resolved_threads()));
 
     return accumulate_distribution(
@@ -181,19 +186,20 @@ Tdp_distribution metric_distribution(const pattern::Patterning_engine& engine,
             // Substream contract: sample i draws from (base_seed, i) and
             // nothing else, so i must stay inside the experiment.
             MPSRAM_REQUIRE_INDEX(i, static_cast<std::size_t>(opts.samples));
-            pattern::Process_sample s;
+            Worker_buffers& own =
+                scratch[core::checked_worker(ctx, scratch.size())];
+            const pattern::Process_sample* s = &own.sample;
             if (opts.sampling == Sampling::latin_hypercube) {
-                s = pregen[i];
+                s = &pregen[i];
             } else {
                 util::Rng rng = util::Rng::stream(base_seed, i);
-                s = engine.sample_gaussian(rng, opts.truncate_k);
+                engine.sample_gaussian_into(rng, opts.truncate_k,
+                                            own.sample);
             }
-            geom::Wire_array& realized =
-                scratch[core::checked_worker(ctx, scratch.size())];
-            engine.realize_into(nominal, s, realized);
+            engine.realize_into(nominal, *s, own.realized);
             const extract::Rc_variation v =
-                extractor.variation(nominal, realized, victim);
-            return Sample_values{metric(realized, v, ctx), v.r_factor,
+                extractor.variation(nominal, own.realized, victim);
+            return Sample_values{metric(own.realized, v, ctx), v.r_factor,
                                  v.c_factor};
         },
         opts);

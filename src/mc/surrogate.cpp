@@ -48,11 +48,7 @@ Tdp_distribution surrogate_distribution(
                 pattern::Process_sample& own =
                     scratch[core::checked_worker(ctx, scratch.size())];
                 util::Rng rng = util::Rng::stream(base_seed, i);
-                own.clear();
-                for (const pattern::Variation_axis& axis : engine.axes()) {
-                    own.push_back(rng.truncated_normal(0.0, axis.sigma,
-                                                       opts.truncate_k));
-                }
+                engine.sample_gaussian_into(rng, opts.truncate_k, own);
                 s = &own;
             }
             Sample_values v;

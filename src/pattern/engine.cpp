@@ -22,10 +22,18 @@ Process_sample Patterning_engine::sample_gaussian(util::Rng& rng,
 {
     Process_sample s;
     s.reserve(axes().size());
-    for (const Variation_axis& axis : axes()) {
-        s.push_back(rng.truncated_normal(0.0, axis.sigma, truncate_k));
-    }
+    sample_gaussian_into(rng, truncate_k, s);
     return s;
+}
+
+void Patterning_engine::sample_gaussian_into(util::Rng& rng,
+                                             double truncate_k,
+                                             Process_sample& out) const
+{
+    out.clear();
+    for (const Variation_axis& axis : axes()) {
+        out.push_back(rng.truncated_normal(0.0, axis.sigma, truncate_k));
+    }
 }
 
 void Patterning_engine::realize_into(const geom::Wire_array& decomposed,

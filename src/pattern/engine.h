@@ -72,6 +72,13 @@ public:
     Process_sample sample_gaussian(util::Rng& rng,
                                    double truncate_k = 4.0) const;
 
+    /// sample_gaussian() into caller-owned storage: `out` is overwritten
+    /// with the same draws, reusing its capacity.  The one per-axis draw
+    /// loop of every sampler, so the exact and surrogate Monte-Carlo
+    /// tiers draw identical samples from a substream.
+    void sample_gaussian_into(util::Rng& rng, double truncate_k,
+                              Process_sample& out) const;
+
 protected:
     Patterning_engine() = default;
 

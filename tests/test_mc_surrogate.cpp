@@ -4,14 +4,17 @@
 // brute-force order statistics of the same surface.
 #include "mc/surrogate.h"
 
+#include <bit>
 #include <cmath>
 #include <memory>
+#include <span>
 #include <vector>
 
 #include <gtest/gtest.h>
 
 #include "mc/distribution.h"
 #include "pattern/engine.h"
+#include "sram/layout.h"
 #include "tech/technology.h"
 #include "util/contracts.h"
 #include "util/numeric.h"
@@ -93,6 +96,88 @@ TEST(SurrogateDistribution, DrawsTheExactEnginesSamples)
         EXPECT_DOUBLE_EQ(dist.tdp[i], f.surfaces.metric.value(x));
         EXPECT_DOUBLE_EQ(dist.rvar[i], f.surfaces.rvar.value(x));
         EXPECT_DOUBLE_EQ(dist.cvar[i], f.surfaces.cvar.value(x));
+    }
+}
+
+/// Delegates to a real engine and records every sample the formula tier
+/// realizes, in call order (the serial runner keeps it sample order).
+class Recording_engine final : public pattern::Patterning_engine {
+public:
+    explicit Recording_engine(const pattern::Patterning_engine& inner)
+        : inner_(inner)
+    {
+    }
+    tech::Patterning_option option() const override
+    {
+        return inner_.option();
+    }
+    const std::vector<pattern::Variation_axis>& axes() const override
+    {
+        return inner_.axes();
+    }
+    geom::Wire_array decompose(geom::Wire_array nominal) const override
+    {
+        return inner_.decompose(std::move(nominal));
+    }
+    geom::Wire_array realize(const geom::Wire_array& decomposed,
+                             std::span<const double> sample) const override
+    {
+        realized.emplace_back(sample.begin(), sample.end());
+        return inner_.realize(decomposed, sample);
+    }
+
+    mutable std::vector<pattern::Process_sample> realized;
+
+private:
+    const pattern::Patterning_engine& inner_;
+};
+
+TEST(SurrogateDistribution, FormulaAndSurrogateTiersDrawIdenticalSamples)
+{
+    // For the same (seed, i) the exact tier (metric_distribution) and the
+    // surrogate tier draw bitwise-identical process samples.  The exact
+    // tier's samples are recorded at realize(); the surrogate's are read
+    // back one axis at a time through an identity surface
+    // value(x) = x[a] (unit scales, so the evaluation is exact).
+    for (const auto option : tech::all_patterning_options) {
+        Fixture f(option);
+        const Recording_engine recorder(*f.engine);
+        sram::Array_config cfg;
+        cfg.word_lines = 16;
+        const geom::Wire_array nominal =
+            f.engine->decompose(sram::build_metal1_array(f.t, cfg));
+        const std::size_t victim = sram::find_victim_wires(nominal, cfg).bl;
+        const extract::Extractor extractor{f.t.metal1};
+
+        mc::Distribution_options opts;
+        opts.samples = 40;
+        (void)mc::metric_distribution(
+            recorder, extractor, nominal, victim,
+            [](const geom::Wire_array&, const extract::Rc_variation&,
+               const core::Run_context&) { return 0.0; },
+            opts);
+        ASSERT_EQ(recorder.realized.size(), 40u);
+
+        const std::size_t d = f.engine->axes().size();
+        for (std::size_t a = 0; a < d; ++a) {
+            std::vector<double> coeffs(
+                analytic::Response_surface::coefficient_count(d), 0.0);
+            coeffs[1 + a] = 1.0;
+            analytic::Yield_surfaces identity;
+            identity.metric = analytic::Response_surface::restore(
+                std::vector<double>(d, 1.0), coeffs);
+            identity.rvar = identity.metric;
+            identity.cvar = identity.metric;
+            const auto dist =
+                mc::surrogate_distribution(*f.engine, identity, opts);
+            for (std::size_t i = 0; i < 40; ++i) {
+                EXPECT_EQ(std::bit_cast<std::uint64_t>(dist.tdp[i]),
+                          std::bit_cast<std::uint64_t>(
+                              recorder.realized[i][a]))
+                    << tech::to_string(option) << " axis " << a
+                    << " sample " << i;
+            }
+        }
     }
 }
 

@@ -1,18 +1,28 @@
 #include "util/rng.h"
 
+#include <bit>
 #include <cmath>
 #include <cstdint>
+#include <numeric>
+#include <random>
 #include <vector>
 
 #include <gtest/gtest.h>
 
+#include "mc/distribution.h"
+#include "pattern/engine.h"
+#include "tech/technology.h"
 #include "util/contracts.h"
+#include "util/numeric.h"
 #include "util/stats.h"
 
 namespace {
 
+using mpsram::util::Lazy_mt19937_64;
 using mpsram::util::Rng;
 using mpsram::util::Running_stats;
+
+std::uint64_t bits(double x) { return std::bit_cast<std::uint64_t>(x); }
 
 TEST(Rng, SameSeedSameStream)
 {
@@ -182,6 +192,144 @@ TEST(RngStream, SeedsSeparateSubstreamFamilies)
         if (a.normal() == b.normal()) ++same;
     }
     EXPECT_EQ(same, 0);
+}
+
+// --- exact sequence: std::mt19937_64 is the oracle --------------------------
+
+/// Seeds the exact-sequence tests run on: fixed corner seeds plus seeds
+/// derived the way the Monte-Carlo loops derive them.
+std::vector<std::uint64_t> oracle_seeds()
+{
+    std::vector<std::uint64_t> seeds{0, 1, 5489, ~std::uint64_t{0}};
+    for (const std::uint64_t i : {std::uint64_t{0}, std::uint64_t{1},
+                                  std::uint64_t{1000000}}) {
+        seeds.push_back(Rng::stream(20150609, i).seed());
+    }
+    seeds.push_back(Rng(20150609).child("LELELE").seed());
+    seeds.push_back(Rng(3).child("SADP").child("importance-tail").seed());
+    return seeds;
+}
+
+TEST(LazyMt19937, OutputsEqualStdMt19937_64)
+{
+    // 1300 outputs cross the lazy first half (156), the end of the first
+    // block (312) and three whole-block regenerations.
+    for (const std::uint64_t seed : oracle_seeds()) {
+        std::mt19937_64 oracle(seed);
+        Lazy_mt19937_64 engine(seed);
+        for (int j = 0; j < 1300; ++j) {
+            ASSERT_EQ(engine(), oracle()) << "seed " << seed << " output " << j;
+        }
+    }
+}
+
+TEST(LazyMt19937, CopiesContinueIdentically)
+{
+    // Copies taken inside the lazy first half, at the 156 boundary, just
+    // after it, and in a regenerated block continue bit for bit; so does
+    // a copy assigned over an engine that is further along.
+    for (const int taken_at : {0, 1, 100, 155, 156, 157, 311, 312, 400}) {
+        Lazy_mt19937_64 original(5489);
+        for (int j = 0; j < taken_at; ++j) (void)original();
+        Lazy_mt19937_64 copy(original);
+        Lazy_mt19937_64 assigned(7);
+        for (int j = 0; j < 500; ++j) (void)assigned();
+        assigned = original;
+        for (int j = 0; j < 700; ++j) {
+            const std::uint64_t want = original();
+            ASSERT_EQ(copy(), want) << "copied at " << taken_at;
+            ASSERT_EQ(assigned(), want) << "assigned at " << taken_at;
+        }
+    }
+}
+
+TEST(LazyMt19937, RngCopiesContinueIdentically)
+{
+    // An Rng copy also carries the normal distribution's cached second
+    // polar draw, so it continues identically between the two halves.
+    for (const int taken_at : {0, 3, 100, 156, 157, 400}) {
+        Rng original = Rng::stream(11, 4);
+        for (int j = 0; j < taken_at; ++j) (void)original.normal();
+        Rng copy = original;
+        for (int j = 0; j < 600; ++j) {
+            ASSERT_EQ(bits(copy.normal()), bits(original.normal()))
+                << "copied at " << taken_at;
+        }
+    }
+}
+
+TEST(LazyMt19937, DrawsEqualStdDistributions)
+{
+    // Every Rng draw equals the std distribution it wraps, driven by
+    // std::mt19937_64: one shared normal_distribution (whose cached second
+    // value carries across normal/truncated_normal calls), fresh uniform
+    // distributions per call.  Each round takes ~12 engine outputs, so 150
+    // rounds cross every boundary of the lazy engine.
+    for (const std::uint64_t seed : oracle_seeds()) {
+        Rng rng(seed);
+        std::mt19937_64 oracle(seed);
+        std::normal_distribution<double> normal(0.0, 1.0);
+        for (int round = 0; round < 150; ++round) {
+            ASSERT_EQ(bits(rng.normal()), bits(normal(oracle)));
+            ASSERT_EQ(bits(rng.normal(2.0, 0.5)),
+                      bits(2.0 + 0.5 * normal(oracle)));
+            double z = normal(oracle);
+            while (z < -1.0 || z > 1.0) z = normal(oracle);
+            ASSERT_EQ(bits(rng.truncated_normal(1.0, 3.0, 1.0)),
+                      bits(1.0 + 3.0 * z));
+            ASSERT_EQ(bits(rng.uniform(-2.0, 5.0)),
+                      bits(std::uniform_real_distribution<double>(-2.0, 5.0)(
+                          oracle)));
+            ASSERT_EQ(rng.index(10),
+                      std::uniform_int_distribution<std::uint64_t>(0, 9)(
+                          oracle));
+            ASSERT_EQ(rng.index(~std::uint64_t{0}),
+                      std::uniform_int_distribution<std::uint64_t>(
+                          0, ~std::uint64_t{0} - 1)(oracle));
+        }
+    }
+}
+
+TEST(LazyMt19937, LatinHypercubeLongStreamMatchesStdReference)
+{
+    // One long stream: the Latin-hypercube pregeneration draws every
+    // sample of the set from a single Rng, ~2.5k engine outputs for 256
+    // LE3 samples.  Rebuilt here on std::mt19937_64, bit for bit.
+    using namespace mpsram;
+    const auto engine =
+        pattern::make_engine(tech::Patterning_option::le3, tech::n10());
+    mc::Distribution_options opts;
+    opts.samples = 256;
+    const std::uint64_t seed = Rng(opts.seed).child(engine->name()).seed();
+
+    Rng rng(seed);
+    const auto samples = mc::lhs_samples(*engine, rng, opts);
+
+    std::mt19937_64 oracle(seed);
+    const auto n = static_cast<std::size_t>(opts.samples);
+    const double p_lo = util::normal_cdf(-opts.truncate_k);
+    const double p_hi = util::normal_cdf(opts.truncate_k);
+    std::vector<std::size_t> perm(n);
+    ASSERT_EQ(samples.size(), n);
+    for (std::size_t a = 0; a < engine->axes().size(); ++a) {
+        std::iota(perm.begin(), perm.end(), std::size_t{0});
+        for (std::size_t i = n; i > 1; --i) {
+            const auto j = std::uniform_int_distribution<std::uint64_t>(
+                0, i - 1)(oracle);
+            std::swap(perm[i - 1], perm[j]);
+        }
+        for (std::size_t i = 0; i < n; ++i) {
+            const double u =
+                std::uniform_real_distribution<double>(0.0, 1.0)(oracle);
+            const double p =
+                p_lo + (p_hi - p_lo) * ((static_cast<double>(perm[i]) + u) /
+                                        static_cast<double>(n));
+            const double want =
+                engine->axes()[a].sigma * util::normal_quantile(p);
+            ASSERT_EQ(bits(samples[i][a]), bits(want))
+                << "axis " << a << " sample " << i;
+        }
+    }
 }
 
 } // namespace

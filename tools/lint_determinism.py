@@ -29,6 +29,14 @@ introduced, before any bench gate can notice a drifting checksum:
                        grow an unaudited I/O surface; all socket I/O goes
                        through util::Socket / util::Unix_listener and the
                        service daemon's poll loop.
+  raw-engine           std random engines (std::mt19937[_64],
+                       default_random_engine, minstd_rand[0], ranlux*,
+                       knuth_b, the *_engine templates) outside
+                       src/util/rng.{h,cpp}.  Every stream comes from an
+                       explicitly seeded util::Rng; an eagerly seeded
+                       engine per Monte-Carlo sample also pays for its
+                       whole 312-word state, the cost util::Rng's lazy
+                       MT19937-64 exists to avoid.
 
 Escape hatch: a finding on a line containing `// lint:allow(<rule>)` (or
 whose previous line is exactly such a comment) is suppressed.  Use it for
@@ -61,6 +69,9 @@ RAW_THREAD_ALLOWED = ("src/util/thread_pool.h", "src/util/thread_pool.cpp")
 # I/O layer: the util socket wrappers and the service daemon's poll loop.
 RAW_SOCKET_ALLOWED_PREFIXES = ("src/util/",)
 RAW_SOCKET_ALLOWED = ("src/core/service.cpp",)
+
+# The one place a random engine is implemented.
+RAW_ENGINE_ALLOWED = ("src/util/rng.h", "src/util/rng.cpp")
 
 ALLOW_RE = re.compile(r"//\s*lint:allow\(([a-z-]+(?:\s*,\s*[a-z-]+)*)\)")
 EXPECT_RE = re.compile(r"//\s*lint:expect\(([a-z-]+)\)")
@@ -199,6 +210,18 @@ LINE_RULES = [
         "src/core/service.cpp; route I/O through util::Socket / "
         "util::Unix_listener",
     ),
+    (
+        "raw-engine",
+        re.compile(
+            r"\b(?:std::)?(?:mt19937(?:_64)?|default_random_engine"
+            r"|minstd_rand0?|ranlux\w*|knuth_b|mersenne_twister_engine"
+            r"|linear_congruential_engine|subtract_with_carry_engine"
+            r"|discard_block_engine|independent_bits_engine"
+            r"|shuffle_order_engine)\b"
+        ),
+        "raw random engine outside src/util/rng.{h,cpp}; draw from an "
+        "explicitly seeded util::Rng (Rng::stream / Rng::child)",
+    ),
 ]
 
 UNORDERED_DECL_RE = re.compile(
@@ -241,6 +264,8 @@ def scan_file(path: Path, relpath: str, self_test: bool) -> tuple[list, list]:
     for idx, line in enumerate(code_lines, start=1):
         for rule, rx, message in LINE_RULES:
             if rule == "raw-thread" and relpath in RAW_THREAD_ALLOWED:
+                continue
+            if rule == "raw-engine" and relpath in RAW_ENGINE_ALLOWED:
                 continue
             if rule == "raw-socket" and (
                 relpath.startswith(RAW_SOCKET_ALLOWED_PREFIXES)

@@ -7,6 +7,7 @@
 // `// lint:allow(<rule>)` prove the escape hatch suppresses.  Clean
 // look-alike lines at the bottom guard against false positives.
 #include <chrono>
+#include <cstdint>
 #include <cstdlib>
 #include <ctime>
 #include <random>
@@ -104,6 +105,27 @@ inline int bad_qualified_socket_calls(int fd)
     return client;
 }
 
+// --- raw-engine: random engines outside util::Rng ---------------------------
+inline double bad_per_sample_engine(std::uint64_t seed)
+{
+    std::mt19937_64 engine(seed);  // lint:expect(raw-engine)
+    std::normal_distribution<double> normal;
+    return normal(engine);
+}
+
+inline unsigned bad_default_engines()
+{
+    std::default_random_engine a;  // lint:expect(raw-engine)
+    std::minstd_rand0 b;  // lint:expect(raw-engine)
+    std::ranlux48 c;  // lint:expect(raw-engine)
+    std::knuth_b d;  // lint:expect(raw-engine)
+    return static_cast<unsigned>(a() + b() + c() + d());
+}
+
+using Bad_engine = std::mersenne_twister_engine<  // lint:expect(raw-engine)
+    std::uint32_t, 32, 624, 397, 31, 0x9908b0df, 11, 0xffffffff, 7,
+    0x9d2c5680, 15, 0xefc60000, 18, 1812433253>;
+
 // --- escape hatch: reviewed exceptions stay silent --------------------------
 inline std::size_t allowed_unordered_size_only(
     const std::unordered_map<std::string, double>& weights)
@@ -140,6 +162,10 @@ inline int clean_lookalikes()
     const int stepped = accept_step(7);  // not the accept() syscall
     const auto bindings = [](int v) { return v; };
     const int bound = bindings(1);       // not bind() either
+    struct Lazy_mt19937_64 {};           // not std::mt19937_64
+    struct Patterning_engine {};         // not a std *_engine template
+    (void)Lazy_mt19937_64{};
+    (void)Patterning_engine{};
     return operand + wall_time + hardware + sum + stepped + bound +
            static_cast<int>(s.size()) +
            (it != lut.end() ? it->second : 0);
