@@ -309,6 +309,19 @@ TEST(SolverCounters, MosfetEvaluationsMatchPinnedCounts)
     EXPECT_LT(bypass.device_evaluations, direct.device_evaluations);
 }
 
+TEST(SolverCounters, ReadColumnEvaluationsMatchPinnedCounts)
+{
+    // A read column carries 7 grounded capacitors per cell next to its 6
+    // MOSFETs.  Capacitor companions count once per transient solve and
+    // MOSFETs once per evaluation, so a miscounted companion pass moves
+    // these pins where the capacitor-free chain above cannot.
+    Read_fixture f(8);
+    const sram::Read_result direct = f.run(Solver_policy::direct);
+    const sram::Read_result bypass = f.run(Solver_policy::bypass);
+    EXPECT_EQ(direct.steps.device_evaluations, 48781);
+    EXPECT_EQ(bypass.steps.device_evaluations, 21070);
+}
+
 TEST(SolverCounters, DeviceEvaluationsAreThreadCountInvariant)
 {
     // A read_td sweep with per-worker column contexts: worker assignment

@@ -1,6 +1,10 @@
 #include "spice/analysis.h"
 
+#include <bit>
 #include <cmath>
+#include <cstdint>
+#include <string>
+#include <vector>
 
 #include <gtest/gtest.h>
 
@@ -230,6 +234,151 @@ TEST(Transient, UnknownProbeNameThrows)
     opts.tstop = 1e-9;
     const auto res = run_transient(f.circuit, {f.out}, opts);
     EXPECT_THROW(res.waveform("nope"), mpsram::spice::Netlist_error);
+}
+
+/// The stored bits of every time point and probed sample of a run.
+std::vector<std::uint64_t> result_bits(const Transient_result& r,
+                                       const std::vector<std::string>& probes)
+{
+    std::vector<std::uint64_t> bits;
+    for (const double t : r.time()) {
+        bits.push_back(std::bit_cast<std::uint64_t>(t));
+    }
+    for (const std::string& p : probes) {
+        const mpsram::util::Piecewise_linear wave = r.waveform(p);
+        for (const double v : wave.ys()) {
+            bits.push_back(std::bit_cast<std::uint64_t>(v));
+        }
+    }
+    return bits;
+}
+
+Transient_options edit_options(Solver_policy policy)
+{
+    Transient_options opts;
+    opts.tstop = 2e-9;
+    opts.nominal_steps = 200;
+    opts.newton.solver = policy;
+    return opts;
+}
+
+TEST(Transient, CapacitanceEditOnReusedWorkspaceMatchesFreshRun)
+{
+    // A value edit between two runs on one workspace keeps the compiled
+    // system; the second run must be the run a fresh workspace computes
+    // for the edited circuit, bit for bit.
+    for (const Solver_policy policy :
+         {Solver_policy::direct, Solver_policy::bypass}) {
+        Circuit c;
+        const Node in = c.node("in");
+        const Node a = c.node("a");
+        const Node b = c.node("b");
+        c.add_voltage_source("Vin", in, ground_node,
+                             Waveform::pulse(0.0, 1.0, 0.2e-9, 10e-12));
+        c.add_resistor("R1", in, a, 1000.0);
+        Capacitor& edited = c.add_capacitor("C1", a, ground_node, 1e-12);
+        c.add_resistor("R2", a, b, 2000.0);
+        c.add_capacitor("C2", b, ground_node, 0.5e-12);
+        c.add_capacitor("Cab", a, b, 0.2e-12);
+
+        const std::vector<std::string> probes = {"a", "b"};
+        const Transient_options opts = edit_options(policy);
+        Transient_workspace workspace;
+        const auto before = run_transient(c, {a, b}, opts, workspace);
+        edited.set_capacitance(2.5e-12);
+        const auto reused = run_transient(c, {a, b}, opts, workspace);
+        EXPECT_EQ(workspace.build_count(), 1u);
+
+        const auto fresh = run_transient(c, {a, b}, opts);
+        EXPECT_EQ(result_bits(reused, probes), result_bits(fresh, probes))
+            << "policy " << static_cast<int>(policy);
+        EXPECT_NE(result_bits(reused, probes), result_bits(before, probes))
+            << "the edit must take effect";
+    }
+}
+
+/// How a test circuit's capacitor C(a, x) is attached.
+enum class Cap_wiring {
+    a_to_ground,       ///< C(a, gnd)
+    ground_to_a,       ///< C(gnd, a)
+    a_to_zero_source,  ///< C(a, z), z driven at 0 V
+    a_to_b,            ///< floating C(a, b)
+    b_to_a,            ///< floating C(b, a)
+    a_to_driven,       ///< C(a, d), d driven by a moving source
+    driven_to_a,       ///< C(d, a)
+};
+
+/// Pulse -> R -> a -> R -> b ladder with capacitor Cx wired as asked.
+/// Every variant has the same nodes in the same order.
+Circuit wiring_circuit(Cap_wiring w)
+{
+    Circuit c;
+    const Node in = c.node("in");
+    const Node a = c.node("a");
+    const Node b = c.node("b");
+    const Node z = c.node("z");
+    const Node d = c.node("d");
+    c.add_voltage_source("Vin", in, ground_node,
+                         Waveform::pulse(0.0, 1.0, 0.2e-9, 10e-12));
+    c.add_voltage_source("Vz", z, ground_node, Waveform::dc(0.0));
+    c.add_voltage_source("Vd", d, ground_node,
+                         Waveform::pulse(0.0, 0.5, 0.7e-9, 50e-12));
+    c.add_resistor("R1", in, a, 1000.0);
+    c.add_resistor("R2", a, b, 1500.0);
+    c.add_capacitor("Cb", b, ground_node, 0.3e-12);
+    const double farads = 1e-12;
+    switch (w) {
+    case Cap_wiring::a_to_ground:
+        c.add_capacitor("Cx", a, ground_node, farads);
+        break;
+    case Cap_wiring::ground_to_a:
+        c.add_capacitor("Cx", ground_node, a, farads);
+        break;
+    case Cap_wiring::a_to_zero_source:
+        c.add_capacitor("Cx", a, z, farads);
+        break;
+    case Cap_wiring::a_to_b:
+        c.add_capacitor("Cx", a, b, farads);
+        break;
+    case Cap_wiring::b_to_a:
+        c.add_capacitor("Cx", b, a, farads);
+        break;
+    case Cap_wiring::a_to_driven:
+        c.add_capacitor("Cx", a, d, farads);
+        break;
+    case Cap_wiring::driven_to_a:
+        c.add_capacitor("Cx", d, a, farads);
+        break;
+    }
+    c.add_resistor("R3", b, ground_node, 5000.0);
+    return c;
+}
+
+TEST(Transient, CapacitorOrientationIsBitwiseInvariant)
+{
+    // Swapping a capacitor's terminals, or grounding it through a 0 V
+    // source instead of the ground node, changes how its stamps are
+    // routed but not the physics: the waveforms must not move a bit.
+    const std::vector<std::string> probes = {"a", "b"};
+    const auto run = [&](Cap_wiring w, Solver_policy policy) {
+        Circuit c = wiring_circuit(w);
+        const auto r = run_transient(c, {c.find_node("a"), c.find_node("b")},
+                                     edit_options(policy));
+        return result_bits(r, probes);
+    };
+    for (const Solver_policy policy :
+         {Solver_policy::direct, Solver_policy::bypass}) {
+        const auto grounded = run(Cap_wiring::a_to_ground, policy);
+        EXPECT_EQ(run(Cap_wiring::ground_to_a, policy), grounded);
+        EXPECT_EQ(run(Cap_wiring::a_to_zero_source, policy), grounded);
+        EXPECT_EQ(run(Cap_wiring::b_to_a, policy),
+                  run(Cap_wiring::a_to_b, policy));
+        EXPECT_EQ(run(Cap_wiring::driven_to_a, policy),
+                  run(Cap_wiring::a_to_driven, policy));
+        // The variants are not all one circuit in disguise.
+        EXPECT_NE(run(Cap_wiring::a_to_b, policy), grounded);
+        EXPECT_NE(run(Cap_wiring::a_to_driven, policy), grounded);
+    }
 }
 
 TEST(Mosfet, PassGateChargeSharingConserved)
