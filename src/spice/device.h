@@ -2,14 +2,16 @@
 //
 // The engine hands each device a Stamper (matrix/RHS access with ground-
 // and driven-node handling folded in) and an Eval_context (current
-// iterate, time step, integration method).  Dynamic devices keep their own
-// history state and are told when a step is accepted.
+// iterate, time step, integration method).  No device keeps history
+// state: the one dynamic element, the capacitor, is structural — the MNA
+// system owns its companion model and history (spice/system.h), as it
+// owns the voltage sources' driven nodes and branch rows.
 //
 // Stamp-call contract.  Within one analysis mode, a device makes the same
 // sequence of Stamper calls — the same (eq, wrt) pairs in the same order —
 // on every stamp(), whatever the voltages, time, step or method; only the
 // values vary.  In DC the sequence is either the transient one or empty
-// (a capacitor is open in DC).  The MNA system binds each call to its
+// (a device that is open in DC).  The MNA system binds each call to its
 // matrix slot or RHS row once, at compile time (spice/system.h), and
 // re-stamps a device only when its class says its values may have
 // changed.  Checked builds (-DMPSRAM_CHECKED=ON) assert every replayed
@@ -89,27 +91,18 @@ public:
     virtual bool is_nonlinear() const { return false; }
 
     /// True when stamp() depends only on the terminal voltages — no
-    /// mode, time, dt, waveform, or history state.  Linear ones are then
+    /// mode, time, dt, or waveform.  Linear ones are then
     /// stamped once per run; nonlinear ones keep their last stamp values
     /// across steps on the reuse solver tiers while every terminal stays
     /// within the bypass tolerance.  Parameter edits between runs are
     /// covered by the per-run reuse reset.  Linear devices that keep the
-    /// default are re-stamped once per Newton solve, where t, dt, and
-    /// history are fixed.
+    /// default are re-stamped once per Newton solve, where t and dt are
+    /// fixed.
     virtual bool stamp_voltage_only() const { return false; }
-
-    /// True when accept_step() updates history state the next stamp()
-    /// reads (capacitor companions).  The engine calls accept_step() only
-    /// on these devices.
-    virtual bool keeps_history() const { return false; }
 
     /// Contribute linearized equations at the current iterate, honouring
     /// the stamp-call contract in the file comment.
     virtual void stamp(Stamper& s, const Eval_context& ctx) const = 0;
-
-    /// Called once after a DC solution or an accepted transient step so
-    /// dynamic devices (keeps_history()) can update their history state.
-    virtual void accept_step(const Eval_context& ctx) { (void)ctx; }
 
     /// Report waveform corner times in (0, tstop) for breakpoint handling.
     virtual void add_breakpoints(double tstop,

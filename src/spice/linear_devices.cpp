@@ -35,21 +35,11 @@ void Capacitor::set_capacitance(double farads)
 {
     util::expects(farads > 0.0, "capacitance must be positive");
     farads_ = farads;
-    v_prev_ = 0.0;
-    i_prev_ = 0.0;
 }
 
-void Capacitor::accept_step(const Eval_context& ctx)
+void Capacitor::stamp(Stamper&, const Eval_context&) const
 {
-    const double v_now = ctx.v(nodes()[0]) - ctx.v(nodes()[1]);
-    if (ctx.mode == Analysis_mode::dc) {
-        v_prev_ = v_now;
-        i_prev_ = 0.0;
-        return;
-    }
-    const Companion c = companion(ctx);
-    i_prev_ = c.g * v_now - c.hist;
-    v_prev_ = v_now;
+    // Handled structurally by the MNA system (its capacitor bank).
 }
 
 // --- Current_source ----------------------------------------------------------

@@ -75,6 +75,23 @@ void Sparse_matrix::multiply(const std::vector<double>& x,
     }
 }
 
+void Sparse_matrix::residual(const std::vector<double>& rhs,
+                             const std::vector<double>& x,
+                             std::vector<double>& r) const
+{
+    util::expects(x.size() == n_ && rhs.size() == n_,
+                  "residual operand size mismatch");
+    r.resize(n_);
+    for (std::size_t i = 0; i < n_; ++i) {
+        double acc = 0.0;
+        for (int s = row_ptr_[i]; s < row_ptr_[i + 1]; ++s) {
+            acc += values_[static_cast<std::size_t>(s)] *
+                   x[static_cast<std::size_t>(cols_[static_cast<std::size_t>(s)])];
+        }
+        r[i] = rhs[i] - acc;
+    }
+}
+
 std::vector<double> Sparse_matrix::dense_row(int row) const
 {
     std::vector<double> out(n_, 0.0);

@@ -45,9 +45,15 @@ public:
     /// program writes every entry through this).
     double* value_data() { return values_.data(); }
 
-    /// y = A x (serial, deterministic).  The residual kernel of the
-    /// factorization-reuse Newton path and the iterative solver.
+    /// y = A x (serial, deterministic).  The kernel of the iterative
+    /// solver.
     void multiply(const std::vector<double>& x, std::vector<double>& y) const;
+
+    /// r = rhs - A x in one pass, with the operations of multiply()
+    /// followed by the subtraction (bitwise the same r).  The residual of
+    /// the factorization-reuse Newton path.
+    void residual(const std::vector<double>& rhs,
+                  const std::vector<double>& x, std::vector<double>& r) const;
 
     const std::vector<int>& row_ptr() const { return row_ptr_; }
     const std::vector<int>& cols() const { return cols_; }

@@ -89,15 +89,32 @@ private:
     bool matches_ = true;
 };
 
-/// Runtime stamper: replays a device's bound ops, writing each stamp value
-/// into the value slab and marking its fold target dirty when the stored
-/// bits change.
+/// Store one stamp value into slab entry `value`, marking fold target
+/// `target` dirty when the stored bits change.
+inline void Mna_system::store(std::int32_t value, std::int32_t target,
+                              double v)
+{
+    double& slot = values_[static_cast<std::size_t>(value)];
+    if (std::bit_cast<std::uint64_t>(slot) ==
+        std::bit_cast<std::uint64_t>(v)) {
+        return;
+    }
+    slot = v;
+    unsigned char& flags = target_flags_[static_cast<std::size_t>(target)];
+    if (!(flags & dirty_flag)) {
+        flags |= dirty_flag;
+        dirty_.push_back(target);
+    }
+}
+
+/// Runtime stamper: replays a device's bound ops, storing each stamp
+/// value into its slab entry.
 class Mna_system::Value_writer final : public Stamper {
 public:
     Value_writer(Mna_system& sys, const double* voltages)
         : sys_(&sys),
           ops_(sys.ops_.data()),
-          values_(sys.values_.data()),
+          op_value_(sys.op_value_.data()),
           voltages_(voltages)
     {
     }
@@ -108,7 +125,6 @@ public:
         const auto d = static_cast<std::size_t>(device);
         op_ = sys_->device_op_[d];
         end_ = sys_->device_op_[d + 1];
-        value_ = sys_->device_value_[d];
     }
     /// True once every bound op of the device has been replayed.
     bool done() const { return op_ == end_; }
@@ -125,14 +141,15 @@ public:
                           sys_->is_bound_jacobian(ops_[op_], eq, wrt),
                       "stamp call does not match its bound op",
                       MPSRAM_VAL(eq), MPSRAM_VAL(wrt), MPSRAM_VAL(op_));
+        const std::int32_t value = op_value_[op_];
         const std::int32_t op = ops_[op_++];
         if (op >= 0) {
-            write(op, g);
+            sys_->store(value, op, g);
         } else if (op != drop_op) {
             // Known voltage: move to the RHS.
             const Driven_op& d =
                 sys_->driven_ops_[static_cast<std::size_t>(-2 - op)];
-            write(d.target, -g * voltages_[d.node]);
+            sys_->store(value, d.target, -g * voltages_[d.node]);
         }
     }
 
@@ -143,8 +160,9 @@ public:
         MPSRAM_ASSERT(op_ < end_ && sys_->is_bound_rhs(ops_[op_], eq),
                       "stamp call does not match its bound op",
                       MPSRAM_VAL(eq), MPSRAM_VAL(op_));
-        const std::int32_t op = ops_[op_++];
-        if (op >= 0) write(op, value);
+        const std::int32_t op = ops_[op_];
+        if (op >= 0) sys_->store(op_value_[op_], op, value);
+        ++op_;
     }
 
     /// Store +0.0 into every value of `device` (open in this mode).
@@ -152,34 +170,19 @@ public:
     {
         for (begin(device); op_ < end_; ++op_) {
             const std::int32_t op = ops_[op_];
-            if (op != drop_op) write(sys_->target_of(op), 0.0);
+            if (op != drop_op) {
+                sys_->store(op_value_[op_], sys_->target_of(op), 0.0);
+            }
         }
     }
 
 private:
-    void write(std::int32_t target, double v)
-    {
-        double& slot = values_[value_++];
-        if (std::bit_cast<std::uint64_t>(slot) ==
-            std::bit_cast<std::uint64_t>(v)) {
-            return;
-        }
-        slot = v;
-        unsigned char& flags =
-            sys_->target_flags_[static_cast<std::size_t>(target)];
-        if (!(flags & dirty_flag)) {
-            flags |= dirty_flag;
-            sys_->dirty_.push_back(target);
-        }
-    }
-
     Mna_system* sys_;
     const std::int32_t* ops_;
-    double* values_;
+    const std::int32_t* op_value_;
     const double* voltages_;
     std::int32_t op_ = 0;
     std::int32_t end_ = 0;
-    std::int32_t value_ = 0;
 };
 
 // --- Mna_system ---------------------------------------------------------------
@@ -255,6 +258,23 @@ Eval_context binding_context(Analysis_mode mode,
     return ctx;
 }
 
+/// Stamp `dev` against a binding pass.  A capacitor's stamp() is a no-op
+/// (the bank evaluates it), so its six calls are issued here: conductance
+/// g between a and b in Stamper::conductance order, then the history
+/// source into a and out of b.
+void bind_stamp(const Device& dev, Stamper& s, const Eval_context& ctx)
+{
+    if (dynamic_cast<const Capacitor*>(&dev) == nullptr) {
+        dev.stamp(s, ctx);
+        return;
+    }
+    const Node a = dev.nodes()[0];
+    const Node b = dev.nodes()[1];
+    s.conductance(a, b, 0.0);
+    s.rhs(a, 0.0);
+    s.rhs(b, 0.0);
+}
+
 } // namespace
 
 void Mna_system::compile()
@@ -266,7 +286,9 @@ void Mna_system::compile()
     // Pattern: device entries plus the floating-source branch rows.
     {
         Binder pattern(*this, Binder::Pass::pattern);
-        for (const auto& dev : circuit_->devices()) dev->stamp(pattern, tran);
+        for (const auto& dev : circuit_->devices()) {
+            bind_stamp(*dev, pattern, tran);
+        }
         for (const Branch& b : branches_) {
             for (const Node n : {b.source->pos(), b.source->neg()}) {
                 const int row = solve_index_[static_cast<std::size_t>(n)];
@@ -305,6 +327,7 @@ void Mna_system::compile()
     bind_ops();
     build_fold_index();
     schedule();
+    bind_capacitors();
 }
 
 std::int32_t Mna_system::bind_jacobian(Node eq, Node wrt)
@@ -364,27 +387,19 @@ void Mna_system::bind_ops()
 
     Binder binder(*this, Binder::Pass::bind);
     device_op_.assign(devices.size() + 1, 0);
-    device_value_.assign(devices.size() + 1, 0);
-    std::int32_t values = 0;
     for (std::size_t i = 0; i < devices.size(); ++i) {
-        const auto first = static_cast<std::int32_t>(ops_.size());
-        devices[i]->stamp(binder, tran);
-        for (std::size_t k = static_cast<std::size_t>(first); k < ops_.size();
-             ++k) {
-            if (ops_[k] != drop_op) ++values;
-        }
+        bind_stamp(*devices[i], binder, tran);
         device_op_[i + 1] = static_cast<std::int32_t>(ops_.size());
-        device_value_[i + 1] = values;
     }
     ops_.shrink_to_fit();
     driven_ops_.shrink_to_fit();
-    values_.assign(static_cast<std::size_t>(values), 0.0);
 }
 
 void Mna_system::build_fold_index()
 {
-    // Counting sort of the value slots by target: ops are laid out in
-    // device order, so each target's list comes out in device order.
+    // Counting sort of the non-drop ops by target: ops are laid out in
+    // device order, so each target's run of the slab comes out in device
+    // order.
     const std::size_t targets = matrix_->nonzeros() + total_unknowns_;
     fold_ptr_.assign(targets + 1, 0);
     for (const std::int32_t op : ops_) {
@@ -394,14 +409,15 @@ void Mna_system::build_fold_index()
     for (std::size_t t = 0; t < targets; ++t) {
         fold_ptr_[t + 1] += fold_ptr_[t];
     }
-    fold_src_.resize(values_.size());
     std::vector<std::int32_t> fill(fold_ptr_.begin(), fold_ptr_.end() - 1);
-    std::int32_t value = 0;
-    for (const std::int32_t op : ops_) {
-        if (op == drop_op) continue;
-        const auto t = static_cast<std::size_t>(target_of(op));
-        fold_src_[static_cast<std::size_t>(fill[t]++)] = value++;
+    op_value_.resize(ops_.size());
+    for (std::size_t k = 0; k < ops_.size(); ++k) {
+        op_value_[k] =
+            ops_[k] == drop_op
+                ? -1
+                : fill[static_cast<std::size_t>(target_of(ops_[k]))]++;
     }
+    values_.assign(static_cast<std::size_t>(fold_ptr_.back()), 0.0);
 
     target_flags_.assign(targets, 0);
     for (const int s : diag_slot_) {
@@ -425,6 +441,9 @@ void Mna_system::schedule()
         const auto id = static_cast<std::int32_t>(i);
         const std::int32_t first = device_op_[i];
         const std::int32_t end = device_op_[i + 1];
+        counted_[i] = dev.is_nonlinear();
+        // Capacitors belong to the bank (bind_capacitors).
+        if (dynamic_cast<const Capacitor*>(&dev) != nullptr) continue;
 
         // The DC call sequence must be the transient one or empty.  A
         // voltage-only stamp does not depend on the mode, so only the
@@ -449,15 +468,6 @@ void Mna_system::schedule()
             driven = driven || ops_[static_cast<std::size_t>(k)] < drop_op;
         }
 
-        const bool history = dev.keeps_history();
-        counted_[i] = dev.is_nonlinear() || history;
-        if (history) {
-            if (auto* cap = dynamic_cast<Capacitor*>(devices[i].get())) {
-                capacitors_.push_back({id, cap});
-                continue;
-            }
-            history_devices_.push_back(id);
-        }
         if (end == first) continue;  // stamps nothing (voltage sources)
         if (!dev.is_nonlinear() && vo && !driven) {
             static_devices_.push_back(id);
@@ -482,6 +492,66 @@ void Mna_system::schedule()
                    std::numeric_limits<double>::quiet_NaN());
 }
 
+void Mna_system::bind_capacitors()
+{
+    const auto& devices = circuit_->devices();
+    // Bank order: grounded capacitors, then the rest, each in device
+    // order.
+    std::vector<std::size_t> order, general;
+    for (std::size_t i = 0; i < devices.size(); ++i) {
+        if (dynamic_cast<const Capacitor*>(devices[i].get()) == nullptr) {
+            continue;
+        }
+        // [slot, drop, drop, drop, rhs, drop]: a is an unknown, b ground.
+        const std::int32_t* op =
+            &ops_[static_cast<std::size_t>(device_op_[i])];
+        const bool grounded = op[0] >= 0 && op[1] == drop_op &&
+                              op[2] == drop_op && op[3] == drop_op &&
+                              op[4] >= 0 && op[5] == drop_op;
+        (grounded ? order : general).push_back(i);
+    }
+    grounded_caps_ = order.size();
+    order.insert(order.end(), general.begin(), general.end());
+
+    const auto bind = [&](std::size_t k) {
+        const std::int32_t op = ops_[k];
+        Cap_op c{op_value_[k], op, ground_node};
+        if (op < drop_op) {
+            const Driven_op& d =
+                driven_ops_[static_cast<std::size_t>(-2 - op)];
+            c.target = d.target;
+            c.driven = d.node;
+        }
+        cap_ops_.push_back(c);
+    };
+    for (std::size_t n = 0; n < order.size(); ++n) {
+        const std::size_t i = order[n];
+        const auto* cap = static_cast<const Capacitor*>(devices[i].get());
+        cap_device_.push_back(cap);
+        cap_a_.push_back(cap->nodes()[0]);
+        cap_b_.push_back(cap->nodes()[1]);
+        const auto first = static_cast<std::size_t>(device_op_[i]);
+        if (n < grounded_caps_) {
+            bind(first);
+            bind(first + 4);
+        } else {
+            for (std::size_t j = 0; j < 6; ++j) bind(first + j);
+        }
+    }
+    const std::size_t count = cap_device_.size();
+    cap_farads_.assign(count, 0.0);
+    cap_v_prev_.assign(count, 0.0);
+    cap_i_prev_.assign(count, 0.0);
+    snapshot_capacitances();
+}
+
+void Mna_system::snapshot_capacitances()
+{
+    for (std::size_t k = 0; k < cap_device_.size(); ++k) {
+        cap_farads_[k] = cap_device_[k]->capacitance();
+    }
+}
+
 void Mna_system::apply_driven(double t, std::vector<double>& voltages) const
 {
     util::expects(voltages.size() == circuit_->node_count(),
@@ -504,19 +574,56 @@ void Mna_system::evaluate(std::int32_t device, Value_writer& writer,
     counters_.device_evaluations += counted_[d];
 }
 
-void Mna_system::evaluate_capacitors(Value_writer& writer,
-                                     const Eval_context& ctx)
+/// Companion model of capacitor k at step dt: the branch current a->b at
+/// the new point is i = g * v - hist, with g = C/dt and hist = g * v_prev
+/// under BE, g = 2C/dt and hist = g * v_prev + i_prev under TRAP.
+inline Mna_system::Companion Mna_system::companion(std::size_t k, double dt,
+                                                   bool trap) const
 {
-    for (const Bound_capacitor& c : capacitors_) {
-        writer.begin(c.device);
-        c.capacitor->stamp_into(writer, ctx);
-        MPSRAM_ASSERT(writer.done(),
-                      "capacitor made fewer stamp calls than its bound "
-                      "program",
-                      MPSRAM_VAL(c.device));
+    const double g = trap ? 2.0 * cap_farads_[k] / dt : cap_farads_[k] / dt;
+    double hist = g * cap_v_prev_[k];
+    if (trap) hist += cap_i_prev_[k];
+    return {g, hist};
+}
+
+/// Companion stamps of every capacitor at `ctx`: conductance g between a
+/// and b, and an equivalent source pushing hist into a (and out of b).
+void Mna_system::evaluate_capacitors(const Eval_context& ctx)
+{
+    util::expects(ctx.dt > 0.0, "companion model needs a positive step");
+    const bool trap = ctx.method == Integration_method::trapezoidal;
+    const std::size_t count = cap_device_.size();
+    for (std::size_t k = 0; k < grounded_caps_; ++k) {
+        const Companion c = companion(k, ctx.dt, trap);
+        MPSRAM_ASSERT(std::isfinite(c.hist), "non-finite capacitor history",
+                      MPSRAM_VAL(k), MPSRAM_VAL(c.hist));
+        const Cap_op* op = &cap_ops_[2 * k];
+        store(op[0].value, op[0].target, c.g);
+        store(op[1].value, op[1].target, c.hist);
     }
-    counters_.device_evaluations +=
-        static_cast<long long>(capacitors_.size());
+    const Cap_op* op = cap_ops_.data() + 2 * grounded_caps_;
+    for (std::size_t k = grounded_caps_; k < count; ++k, op += 6) {
+        const Companion c = companion(k, ctx.dt, trap);
+        MPSRAM_ASSERT(std::isfinite(c.hist), "non-finite capacitor history",
+                      MPSRAM_VAL(k), MPSRAM_VAL(c.hist));
+        const double stamp[6] = {c.g, c.g, -c.g, -c.g, c.hist, -c.hist};
+        for (int j = 0; j < 6; ++j) {
+            if (op[j].value < 0) continue;
+            // A driven column moves to the RHS as -g * v(column).
+            store(op[j].value, op[j].target,
+                  op[j].driven == ground_node
+                      ? stamp[j]
+                      : -stamp[j] * ctx.voltages[op[j].driven]);
+        }
+    }
+    counters_.device_evaluations += static_cast<long long>(count);
+}
+
+void Mna_system::zero_capacitors()
+{
+    for (const Cap_op& op : cap_ops_) {
+        if (op.value >= 0) store(op.value, op.target, 0.0);
+    }
 }
 
 /// One assembly: evaluate what the schedule says changed, then fold.
@@ -529,7 +636,7 @@ void Mna_system::load(const Eval_context& ctx,
     const bool dc = ctx.mode == Analysis_mode::dc;
     if (dc && (!assembled_ || !assembled_dc_)) {
         // Entering DC: devices open in DC contribute nothing.
-        for (const Bound_capacitor& c : capacitors_) writer.zero(c.device);
+        zero_capacitors();
         for (std::size_t k = step_dc_end_; k < step_devices_.size(); ++k) {
             writer.zero(step_devices_[k]);
         }
@@ -549,7 +656,7 @@ void Mna_system::load(const Eval_context& ctx,
         for (std::size_t k = 0; k < end; ++k) {
             evaluate(step_devices_[k], writer, ctx);
         }
-        if (!dc) evaluate_capacitors(writer, ctx);
+        if (!dc) evaluate_capacitors(ctx);
     }
     const std::size_t always_end =
         dc ? always_dc_end_ : always_devices_.size();
@@ -567,10 +674,11 @@ void Mna_system::load(const Eval_context& ctx,
         const auto first = static_cast<std::size_t>(check_ptr_[k]);
         const auto last = static_cast<std::size_t>(check_ptr_[k + 1]);
         if (bypass) {
+            // Branch-free over the terminals: no early exit.
             bool quiet = true;
-            for (std::size_t j = first; quiet && j < last; ++j) {
+            for (std::size_t j = first; j < last; ++j) {
                 const auto n = static_cast<std::size_t>(check_nodes_[j]);
-                quiet = std::fabs(voltages[n] - v_eval_[j]) <= vtol;
+                quiet &= std::fabs(voltages[n] - v_eval_[j]) <= vtol;
             }
             if (quiet) continue;
         }
@@ -590,8 +698,7 @@ double Mna_system::fold_target(std::int32_t target) const
     const auto t = static_cast<std::size_t>(target);
     double acc = 0.0;
     for (std::int32_t k = fold_ptr_[t]; k < fold_ptr_[t + 1]; ++k) {
-        acc += values_[static_cast<std::size_t>(
-            fold_src_[static_cast<std::size_t>(k)])];
+        acc += values_[static_cast<std::size_t>(k)];
     }
     return acc;
 }
@@ -857,10 +964,7 @@ int Mna_system::solve_reuse(Eval_context ctx, std::vector<double>& voltages,
         for (std::size_t b = 0; b < branches_.size(); ++b) {
             x_[n_node + b] = branch_currents_[b];
         }
-        matrix_->multiply(x_, residual_);
-        for (std::size_t i = 0; i < total_unknowns_; ++i) {
-            residual_[i] = rhs_[i] - residual_[i];
-        }
+        matrix_->residual(rhs_, x_, residual_);
 
         solve_delta(opts);
         // The residual is assembled fresh each iteration, so a poisoned
@@ -931,16 +1035,27 @@ void Mna_system::reset_reuse_state()
     statics_stale_ = true;
     std::fill(v_eval_.begin(), v_eval_.end(),
               std::numeric_limits<double>::quiet_NaN());
+    snapshot_capacitances();
 }
 
 void Mna_system::accept(const Eval_context& ctx)
 {
-    for (const Bound_capacitor& c : capacitors_) {
-        c.capacitor->accept_step(ctx);
+    const double* v = ctx.voltages;
+    const std::size_t count = cap_device_.size();
+    if (ctx.mode == Analysis_mode::dc) {
+        for (std::size_t k = 0; k < count; ++k) {
+            cap_v_prev_[k] = v[cap_a_[k]] - v[cap_b_[k]];
+            cap_i_prev_[k] = 0.0;
+        }
+        return;
     }
-    const auto& devices = circuit_->devices();
-    for (const std::int32_t d : history_devices_) {
-        devices[static_cast<std::size_t>(d)]->accept_step(ctx);
+    util::expects(ctx.dt > 0.0, "companion model needs a positive step");
+    const bool trap = ctx.method == Integration_method::trapezoidal;
+    for (std::size_t k = 0; k < count; ++k) {
+        const Companion c = companion(k, ctx.dt, trap);
+        const double v_now = v[cap_a_[k]] - v[cap_b_[k]];
+        cap_i_prev_[k] = c.g * v_now - c.hist;
+        cap_v_prev_[k] = v_now;
     }
 }
 

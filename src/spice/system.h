@@ -10,32 +10,48 @@
 // Stamp program: evaluation is separated from accumulation.
 //
 //   * Binding (compile time, SPICE3 TSTALLOC style).  Every device is
-//     stamped once against a recorder (and once more in DC when its
-//     stamp may depend on the mode), and each transient stamp call
-//     becomes one pre-routed op: a CSR matrix slot, an RHS row, a
+//     stamped once against a recorder (capacitors: the bank's call
+//     sequence, below), and once more in DC when its stamp may depend on
+//     the mode; each transient stamp call becomes one pre-routed op,
+//     with its slab index (op_value_): a CSR matrix slot, an RHS row, a
 //     driven-column RHS entry (-g * v(node), node kept in a side table),
 //     or a drop (ground/driven equation rows, ground columns — adding a
 //     signed zero to a sum that starts at +0.0 is an exact identity).
 //     The device.h contract (a fixed stamp-call sequence per analysis
 //     mode) is what makes the tape valid; checked builds assert every
 //     replayed call's (eq, wrt) against its bound op.
-//   * Evaluation.  A device writes stamp VALUES into its own range of a
-//     value slab; a write that changes the stored bits marks its matrix
-//     slot or RHS row dirty.  Devices are scheduled by class, decided at
-//     compile time:
+//   * Evaluation.  A device writes stamp VALUES into the value slab; a
+//     write that changes the stored bits marks its matrix slot or RHS
+//     row dirty.  Devices are scheduled by class, decided at compile
+//     time:
 //       - static: linear, voltage-only, no driven column (resistors) —
 //         evaluated once per run, after reset_reuse_state();
-//       - per step: linear with time/history dependence (capacitor
-//         companions, sources) — evaluated on the first Newton iteration
-//         of each solve, where t, dt and history change; capacitors go
-//         through Capacitor::stamp_into() without virtual dispatch;
+//       - per step: linear with time dependence (sources) — evaluated on
+//         the first Newton iteration of each solve, where t and dt
+//         change;
 //       - checked: voltage-only and nonlinear, or linear with a driven
 //         column — re-evaluated every iteration on the direct tier, and
 //         behind the per-device device_bypass_vtol drift check on the
 //         reuse tiers;
 //       - always: nonlinear devices that are not voltage-only.
-//     Devices that make no stamp calls in DC (capacitors are open there)
-//     are skipped in DC, with their slab values held at +0.0.
+//     Devices that make no stamp calls in DC are skipped in DC, with
+//     their slab values held at +0.0.
+//   * Capacitor bank.  Capacitors are structural, like grounded voltage
+//     sources: the system owns their companion models in flat arrays
+//     (terminals, farads, history v_prev / i_prev, and per bound op its
+//     slab index and fold target).  Each capacitor's six ops are bound
+//     at its device position, in Stamper::conductance order then the
+//     two history-source RHS entries, so the op tape and every fold
+//     order are exactly those of a capacitor device stamping itself.
+//     The bank is per step: evaluated in one flat loop on the first
+//     iteration of each transient solve, open (+0.0) in DC, and told
+//     accept() after each DC solution and accepted step, where it
+//     latches its history.  A grounded capacitor ([slot, drop, drop,
+//     drop, rhs, drop]) writes its two live values directly; any other
+//     goes through the general six-op path.  Capacitances are
+//     snapshotted in reset_reuse_state(), where value edits take effect.
+//   * Slab layout.  Values are stored target-major: the contributions to
+//     one matrix slot or RHS row are contiguous, in device order.
 //   * Fold.  Each matrix slot and RHS row is the sum of its
 //     contributions in device order, starting from 0.0, followed by gmin,
 //     initial-condition forcing and the floating-source branch stamps —
@@ -131,9 +147,9 @@ struct Solver_counters {
     long long newton_iterations = 0;
     long long lu_factorizations = 0;  ///< LU factors + ILU(0) refreshes
     long long bypass_hits = 0;
-    /// Compact-model or companion evaluations: nonlinear devices and
-    /// history devices whose stamps were recomputed (not carried over)
-    /// for an assembly.
+    /// Compact-model or companion evaluations: nonlinear devices whose
+    /// stamps were recomputed (not carried over) for an assembly, plus
+    /// one per capacitor for every transient solve.
     long long device_evaluations = 0;
 };
 
@@ -163,8 +179,8 @@ public:
               const Newton_options& opts,
               std::span<const Forced_node> forces = {});
 
-    /// Notify the history-keeping devices (Device::keeps_history) that
-    /// the step at `ctx` was accepted.
+    /// Latch the capacitor bank's history at `ctx`, a DC solution or an
+    /// accepted transient step (ctx.voltages: the accepted point).
     // lint:allow(raw-socket) -- a stepper callback, not the syscall
     void accept(const Eval_context& ctx);
 
@@ -184,9 +200,9 @@ public:
     /// assembly.  Analyses call this once per run so a result is a
     /// function of that run's inputs alone — never of what a reused
     /// workspace solved before.  Load-bearing for MC and sweeps: device
-    /// value edits (Resistor::set_resistance) take effect here, and
-    /// samples change device parameters without moving the voltages the
-    /// staleness checks watch.
+    /// value edits (Resistor::set_resistance, Capacitor::set_capacitance)
+    /// take effect here, and samples change device parameters without
+    /// moving the voltages the staleness checks watch.
     void reset_reuse_state();
 
 private:
@@ -198,6 +214,8 @@ private:
     void bind_ops();
     void build_fold_index();
     void schedule();
+    void bind_capacitors();
+    void snapshot_capacitances();
 
     // Op encoding (see the stamp-program members below).  bind_* route
     // one stamp call; is_bound_* check, in O(1), that a call routes to a
@@ -216,7 +234,14 @@ private:
               std::span<const Forced_node> forces);
     void evaluate(std::int32_t device, Value_writer& writer,
                   const Eval_context& ctx);
-    void evaluate_capacitors(Value_writer& writer, const Eval_context& ctx);
+    struct Companion {
+        double g;     ///< equivalent conductance [S]
+        double hist;  ///< history current source [A]
+    };
+    Companion companion(std::size_t k, double dt, bool trap) const;
+    void evaluate_capacitors(const Eval_context& ctx);
+    void zero_capacitors();
+    void store(std::int32_t value, std::int32_t target, double v);
     void fold(const Eval_context& ctx, const std::vector<double>& voltages,
               const Newton_options& opts,
               std::span<const Forced_node> forces);
@@ -272,14 +297,13 @@ private:
         Node node;            ///< driven column
     };
     std::vector<std::int32_t> ops_;
+    std::vector<std::int32_t> op_value_;      ///< per op, slab index or -1
     std::vector<Driven_op> driven_ops_;
     std::vector<std::int32_t> device_op_;     ///< per device, first op (+end)
-    std::vector<std::int32_t> device_value_;  ///< per device, first value
-    std::vector<double> values_;              ///< one per non-drop op
-    // Fold index: the value slots of target t, in device order, are
-    // fold_src_[fold_ptr_[t] .. fold_ptr_[t + 1]).
+    // Target-major value slab: the values of target t, in device order,
+    // are values_[fold_ptr_[t] .. fold_ptr_[t + 1]).
+    std::vector<double> values_;
     std::vector<std::int32_t> fold_ptr_;
-    std::vector<std::int32_t> fold_src_;
     static constexpr unsigned char dirty_flag = 1;
     static constexpr unsigned char gmin_flag = 2;  ///< node diagonal slot
     std::vector<unsigned char> target_flags_;
@@ -289,17 +313,9 @@ private:
     // Schedule (device indices).  The per-step and always lists hold the
     // devices that also stamp in DC first: [0, *_dc_end_).
     std::vector<std::int32_t> static_devices_;
-    struct Bound_capacitor {
-        std::int32_t device;
-        Capacitor* capacitor;
-    };
-    /// Per-step devices that are capacitors, stamped and accepted through
-    /// direct (non-virtual) calls; the rest of the per-step class.
-    std::vector<Bound_capacitor> capacitors_;
     std::vector<std::int32_t> step_devices_;
     std::vector<std::int32_t> always_devices_;
     std::vector<std::int32_t> checked_devices_;
-    std::vector<std::int32_t> history_devices_;  ///< besides capacitors_
     std::size_t step_dc_end_ = 0;
     std::size_t always_dc_end_ = 0;
     std::vector<unsigned char> counted_;  ///< per device: counts as an eval
@@ -309,6 +325,24 @@ private:
     std::vector<std::int32_t> check_ptr_;
     std::vector<Node> check_nodes_;
     std::vector<double> v_eval_;
+
+    // Capacitor bank (file comment), one entry per capacitor, grounded
+    // ones first: [0, grounded_caps_).
+    struct Cap_op {
+        std::int32_t value;   ///< slab index, -1 for a drop
+        std::int32_t target;  ///< fold target
+        Node driven;          ///< driven column of an RHS entry -g * v, or 0
+    };
+    std::vector<const Capacitor*> cap_device_;
+    std::vector<Node> cap_a_;
+    std::vector<Node> cap_b_;
+    std::vector<double> cap_farads_;  ///< snapshot of reset_reuse_state()
+    std::vector<double> cap_v_prev_;  ///< v(a) - v(b) at the last accept
+    std::vector<double> cap_i_prev_;  ///< current a->b at the last accept
+    /// Bound ops: two per grounded capacitor ((a, a) slot, a row), then
+    /// six per other capacitor, in binding order.
+    std::vector<Cap_op> cap_ops_;
+    std::size_t grounded_caps_ = 0;
 
     bool assembled_ = false;      ///< a full fold has happened
     bool assembled_dc_ = false;   ///< mode of the last assembly

@@ -11,7 +11,11 @@
 // them only when the bound circuit's identity or structure changes.  Device
 // *value* edits (Resistor::set_resistance, Capacitor::set_capacitance) do
 // not change the sparse pattern, so a sweep that re-points a netlist at new
-// extracted parasitics keeps the symbolic factorization.
+// extracted parasitics keeps the symbolic factorization.  An edit takes
+// effect at the next analysis run: run_transient and dc_operating_point
+// start with Mna_system::reset_reuse_state(), which re-stamps the
+// resistors and snapshots the capacitances into the system's capacitor
+// bank.  An edit made while a run is in flight is not seen by that run.
 //
 // A workspace is single-threaded state: give each worker of a parallel
 // sweep its own (see sram::Read_sim_context and the core:: batch APIs).
