@@ -91,13 +91,12 @@ public:
     virtual bool is_nonlinear() const { return false; }
 
     /// True when stamp() depends only on the terminal voltages — no
-    /// mode, time, dt, or waveform.  Linear ones are then
-    /// stamped once per run; nonlinear ones keep their last stamp values
-    /// across steps on the reuse solver tiers while every terminal stays
-    /// within the bypass tolerance.  Parameter edits between runs are
-    /// covered by the per-run reuse reset.  Linear devices that keep the
-    /// default are re-stamped once per Newton solve, where t and dt are
-    /// fixed.
+    /// mode, time, dt, or waveform.  Linear ones are then stamped once
+    /// per run; nonlinear ones keep their last stamp values across steps
+    /// on the reuse solver tiers while every terminal stays within the
+    /// bypass tolerance.  Parameter edits between runs are covered by
+    /// the per-run reuse reset.  Linear devices that keep the default are
+    /// re-stamped once per Newton solve, where t and dt are fixed.
     virtual bool stamp_voltage_only() const { return false; }
 
     /// Contribute linearized equations at the current iterate, honouring

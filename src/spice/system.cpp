@@ -513,7 +513,7 @@ void Mna_system::bind_capacitors()
     grounded_caps_ = order.size();
     order.insert(order.end(), general.begin(), general.end());
 
-    const auto bind = [&](std::size_t k) {
+    const auto bind_op = [&](std::size_t k) {
         const std::int32_t op = ops_[k];
         Cap_op c{op_value_[k], op, ground_node};
         if (op < drop_op) {
@@ -532,10 +532,10 @@ void Mna_system::bind_capacitors()
         cap_b_.push_back(cap->nodes()[1]);
         const auto first = static_cast<std::size_t>(device_op_[i]);
         if (n < grounded_caps_) {
-            bind(first);
-            bind(first + 4);
+            bind_op(first);
+            bind_op(first + 4);
         } else {
-            for (std::size_t j = 0; j < 6; ++j) bind(first + j);
+            for (std::size_t j = 0; j < 6; ++j) bind_op(first + j);
         }
     }
     const std::size_t count = cap_device_.size();
