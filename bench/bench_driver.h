@@ -86,7 +86,7 @@ void accumulate_agreement(Agreement& a, const core::Result_table& reference,
 /// `fast_solver` pins the linear-solver tier of the FAST leg only — the
 /// reference leg must stay defaulted (it resolves to direct; an explicit
 /// reuse tier under reference throws by the solver_policy.h contract), so
-/// this is how the bypass/iterative tiers are gated against the oracle.
+/// this is how the bypass tier is gated against the oracle.
 Agreement run_option_agreement(
     const std::function<core::Query(tech::Patterning_option)>& make_query,
     std::optional<spice::Solver_policy> fast_solver = std::nullopt);

@@ -1,8 +1,8 @@
 // Linear-solver tier scaling: direct vs bypass (factorization-reuse
-// Newton) vs iterative (ILU(0)-BiCGSTAB) on nominal read transients of
-// 10x{256, 1024, 4096, 8192} columns, plus the gates that let the reuse
-// tiers ship: the 0.5% adaptive-vs-reference agreement budget per tier
-// and the bitwise thread-count determinism contract per tier.
+// Newton) on nominal read transients of 10x{256, 1024, 4096, 8192}
+// columns, plus the gates that let the reuse tier ship: the 0.5%
+// adaptive-vs-reference agreement budget and the bitwise thread-count
+// determinism contract per tier.
 //
 // Three sections land in BENCH_solver.json:
 //
@@ -12,14 +12,14 @@
 //     counters (newton_iterations / lu_factorizations / bypass_hits /
 //     device_evaluations) that prove WHERE the speedup comes from —
 //     bypass must show lu_factorizations well under newton_iterations.
-//   - "agreement_bypass" / "agreement_iterative": fast+bypass and
-//     fast+iterative vs the reference+direct oracle over the canonical
-//     Fig. 4 read set (every patterning option, n up to 1024), both held
-//     to the same 0.5% budget as the accuracy tier.
+//   - "agreement_bypass": fast+bypass vs the reference+direct oracle
+//     over the canonical Fig. 4 read set (every patterning option, n up
+//     to 1024), held to the same 0.5% budget as the accuracy tier.
 //   - "per_policy_deterministic": 1/2/8-thread bitwise Result_table
 //     identity of a read sweep pinned to each tier.
 //
 //   $ ./bench_perf_solver [max_word_lines]
+#include <cstdint>
 #include <cstdlib>
 #include <iostream>
 #include <string>
@@ -30,16 +30,13 @@
 #include "sram/bitline_model.h"
 #include "sram/read_sim.h"
 #include "sram/solver_policy.h"
+#include "util/json.h"
 #include "util/table.h"
 #include "util/thread_pool.h"
 
 namespace {
 
 using namespace mpsram;
-
-constexpr spice::Solver_policy solver_tiers[] = {
-    spice::Solver_policy::direct, spice::Solver_policy::bypass,
-    spice::Solver_policy::iterative};
 
 struct Matrix_entry {
     int word_lines = 0;
@@ -78,7 +75,7 @@ std::vector<Matrix_entry> run_solver_matrix(const std::vector<int>& sizes)
         sim.simulate(t, cell, wires, cfg, {}, {}, warm);
 
         double direct_wall = 0.0;
-        for (const spice::Solver_policy policy : solver_tiers) {
+        for (const spice::Solver_policy policy : sram::solver_policies) {
             sram::Read_options opts;
             opts.accuracy = sram::Sim_accuracy::fast;
             opts.solver = policy;
@@ -144,14 +141,6 @@ bool policy_deterministic(spice::Solver_policy policy)
     return identical;
 }
 
-std::string json_of(const bench::Agreement& a)
-{
-    return "{\"max_rel\": " + std::to_string(a.max_rel) +
-           ", \"max_points\": " + std::to_string(a.max_points) +
-           ", \"within_budget\": " +
-           (a.within_budget() ? "true" : "false") + "}";
-}
-
 } // namespace
 
 int main(int argc, char** argv)
@@ -171,9 +160,7 @@ int main(int argc, char** argv)
                  "4096, 8192} up to 10x"
               << max_n << "\n"
               << "Tiers: direct = per-iteration LU oracle, bypass = "
-                 "factorization-reuse Newton,\n"
-                 "iterative = ILU(0)-preconditioned BiCGSTAB (see "
-                 "spice/analysis.h)\n\n";
+                 "factorization-reuse Newton\n(see spice/analysis.h)\n\n";
 
     // --- per-(n, policy) wall / counter matrix at fast accuracy --------------
     const std::vector<Matrix_entry> matrix = run_solver_matrix(matrix_sizes);
@@ -201,12 +188,11 @@ int main(int argc, char** argv)
 
     // --- per-tier agreement vs the reference+direct oracle --------------------
     // One session so the heavy reference sweeps are computed once and the
-    // per-policy memo keys keep the three engines from crossing results.
+    // per-policy memo keys keep the two engines from crossing results.
     constexpr int fig4_sizes[] = {16, 64, 256, 1024};
     const core::Runner_options agreement_runner{
         util::Thread_pool::hardware_threads()};
     bench::Agreement gate_bypass;
-    bench::Agreement gate_iterative;
     {
         const core::Study_session session;
         for (const auto option : tech::all_patterning_options) {
@@ -222,24 +208,16 @@ int main(int argc, char** argv)
                 session.run(core::Query(query)
                                 .with_accuracy(sram::Sim_accuracy::fast)
                                 .with_solver(spice::Solver_policy::bypass)));
-            bench::accumulate_agreement(
-                gate_iterative, reference,
-                session.run(
-                    core::Query(query)
-                        .with_accuracy(sram::Sim_accuracy::fast)
-                        .with_solver(spice::Solver_policy::iterative)));
         }
     }
     std::cout << "Checked over the full Fig. 4 set (all options, n up to "
                  "1024):\nbypass tier —\n";
     bench::report_agreement(gate_bypass, "td");
-    std::cout << "iterative tier —\n";
-    bench::report_agreement(gate_iterative, "td");
 
     // --- bitwise thread determinism per tier ----------------------------------
     std::cout << "\nPer-tier determinism (read_td sweep, LE3):\n";
     bool deterministic = true;
-    for (const spice::Solver_policy policy : solver_tiers) {
+    for (const spice::Solver_policy policy : sram::solver_policies) {
         deterministic = policy_deterministic(policy) && deterministic;
     }
 
@@ -261,30 +239,30 @@ int main(int argc, char** argv)
         "BENCH_solver.cache");
 
     // --- BENCH_solver.json ----------------------------------------------------
-    std::vector<std::string> extra;
-    std::string rows = "\"solver_matrix\": [";
-    for (std::size_t i = 0; i < matrix.size(); ++i) {
-        const Matrix_entry& e = matrix[i];
-        rows += std::string("\n    {\"word_lines\": ") +
-                std::to_string(e.word_lines) + ", \"policy\": \"" +
-                sram::to_string(e.policy) +
-                "\", \"wall_s\": " + std::to_string(e.wall_s) +
-                ", \"speedup_vs_direct\": " +
-                std::to_string(e.speedup_vs_direct) +
-                ", \"newton_iterations\": " +
-                std::to_string(e.steps.newton_iterations) +
-                ", \"lu_factorizations\": " +
-                std::to_string(e.steps.lu_factorizations) +
-                ", \"bypass_hits\": " + std::to_string(e.steps.bypass_hits) +
-                ", \"device_evaluations\": " +
-                std::to_string(e.steps.device_evaluations) + "}" +
-                (i + 1 < matrix.size() ? "," : "");
+    const auto count = [](long long n) {
+        return util::Json(static_cast<std::uint64_t>(n));
+    };
+    util::Json_array rows;
+    for (const Matrix_entry& e : matrix) {
+        rows.push_back(util::Json_object{
+            {"word_lines", e.word_lines},
+            {"policy", sram::to_string(e.policy)},
+            {"wall_s", e.wall_s},
+            {"speedup_vs_direct", e.speedup_vs_direct},
+            {"newton_iterations", count(e.steps.newton_iterations)},
+            {"lu_factorizations", count(e.steps.lu_factorizations)},
+            {"bypass_hits", count(e.steps.bypass_hits)},
+            {"device_evaluations", count(e.steps.device_evaluations)}});
     }
-    rows += "\n  ],";
-    extra.push_back(rows);
-    extra.push_back("\"agreement_bypass\": " + json_of(gate_bypass) + ",");
-    extra.push_back("\"agreement_iterative\": " + json_of(gate_iterative) +
-                    ",");
+    const util::Json agreement = util::Json_object{
+        {"max_rel", gate_bypass.max_rel},
+        {"max_points", gate_bypass.max_points},
+        {"within_budget", gate_bypass.within_budget()}};
+
+    std::vector<std::string> extra;
+    extra.push_back("\"solver_matrix\": " +
+                    util::Json(std::move(rows)).dump() + ",");
+    extra.push_back("\"agreement_bypass\": " + agreement.dump() + ",");
     extra.push_back(
         std::string("\"per_policy_deterministic\": ") +
         (deterministic ? "true" : "false") + ",");
@@ -304,8 +282,7 @@ int main(int argc, char** argv)
     bench::write_bench_json(cfg, outcome, &gate_bypass, steps,
                             matrix_sizes.back(), extra);
     return outcome.all_identical && deterministic &&
-                   gate_bypass.within_budget() &&
-                   gate_iterative.within_budget() && smoke.passed()
+                   gate_bypass.within_budget() && smoke.passed()
                ? 0
                : 1;
 }

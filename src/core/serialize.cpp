@@ -19,10 +19,12 @@ using util::json_of_double;
 // cache entry reports a serialization error, not a bogus environment
 // message.
 
-[[noreturn]] void bad_token(const char* what, const std::string& token)
+[[noreturn]] void bad_token(const char* what, const std::string& token,
+                            const std::string& accepted = {})
 {
-    throw util::Precondition_error(std::string("unknown ") + what +
-                                   " token '" + token + "'");
+    throw util::Precondition_error(
+        std::string("unknown ") + what + " token '" + token + "'" +
+        (accepted.empty() ? "" : " (accepted: " + accepted + ")"));
 }
 
 Metric metric_of_string(const std::string& s)
@@ -82,12 +84,10 @@ sram::Sim_accuracy accuracy_of_string(const std::string& s)
 
 spice::Solver_policy solver_of_string(const std::string& s)
 {
-    for (const auto p : {spice::Solver_policy::direct,
-                         spice::Solver_policy::bypass,
-                         spice::Solver_policy::iterative}) {
+    for (const auto p : sram::solver_policies) {
         if (sram::to_string(p) == s) return p;
     }
-    bad_token("solver policy", s);
+    bad_token("solver policy", s, sram::solver_policy_tokens());
 }
 
 const char* string_of_color(geom::Mask_color c)

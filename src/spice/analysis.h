@@ -25,12 +25,6 @@
 //        residual model error is bounded by g * device_bypass_vtol per
 //        quiet device and gated at 0.5% end to end.  This is the
 //        production default under the fast accuracy tier.
-//      - `iterative`: the same reuse discipline caching an ILU(0)
-//        preconditioner for BiCGSTAB instead of an exact LU.  The
-//        big-array tier (4k-8k rows): factor cost grows superlinearly
-//        with word lines while SpMV + triangular sweeps stay linear, so
-//        its advantage widens with n.  Falls back to exact LU on Krylov
-//        breakdown, so robustness matches bypass.
 //    DC operating points keep their own Newton_options (Dc_options below)
 //    and default to `direct`, which pins identical initial conditions
 //    under every policy.  Per-run factorization/bypass work and device
@@ -111,14 +105,14 @@ struct Transient_options {
 /// delta of the system's cumulative Solver_counters (DC operating-point
 /// work included): `lu_factorizations + bypass_hits == newton_iterations`,
 /// and a growing bypass share is the direct observable of the
-/// factorization-reuse tiers.
+/// factorization-reuse tier.
 struct Step_stats {
     int accepted = 0;
     int lte_rejected = 0;     ///< predictor error exceeded tolerance
     int newton_rejected = 0;  ///< Newton failed to converge at the step
 
     long long newton_iterations = 0;
-    long long lu_factorizations = 0;  ///< LU factors + ILU(0) refreshes
+    long long lu_factorizations = 0;  ///< LU factorizations
     long long bypass_hits = 0;        ///< solves on a reused factorization
     long long device_evaluations = 0; ///< compact-model / companion evals
 

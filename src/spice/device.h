@@ -93,7 +93,7 @@ public:
     /// True when stamp() depends only on the terminal voltages — no
     /// mode, time, dt, or waveform.  Linear ones are then stamped once
     /// per run; nonlinear ones keep their last stamp values across steps
-    /// on the reuse solver tiers while every terminal stays within the
+    /// on the bypass solver tier while every terminal stays within the
     /// bypass tolerance.  Parameter edits between runs are covered by
     /// the per-run reuse reset.  Linear devices that keep the default are
     /// re-stamped once per Newton solve, where t and dt are fixed.

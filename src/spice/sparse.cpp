@@ -60,21 +60,6 @@ void Sparse_matrix::add(int row, int col, double v)
     values_[static_cast<std::size_t>(s)] += v;
 }
 
-void Sparse_matrix::multiply(const std::vector<double>& x,
-                             std::vector<double>& y) const
-{
-    util::expects(x.size() == n_, "multiply operand size mismatch");
-    y.assign(n_, 0.0);
-    for (std::size_t i = 0; i < n_; ++i) {
-        double acc = 0.0;
-        for (int s = row_ptr_[i]; s < row_ptr_[i + 1]; ++s) {
-            acc += values_[static_cast<std::size_t>(s)] *
-                   x[static_cast<std::size_t>(cols_[static_cast<std::size_t>(s)])];
-        }
-        y[i] = acc;
-    }
-}
-
 void Sparse_matrix::residual(const std::vector<double>& rhs,
                              const std::vector<double>& x,
                              std::vector<double>& r) const
@@ -268,182 +253,6 @@ void Sparse_lu::solve(std::vector<double>& b) const
         }
         b[ii] = acc * diag_inv_[ii];
     }
-}
-
-// --- Ilu0 --------------------------------------------------------------------
-
-Ilu0::Ilu0(const Sparse_matrix& pattern)
-    : n_(pattern.size()),
-      row_ptr_(pattern.row_ptr()),
-      cols_(pattern.cols()),
-      values_(pattern.nonzeros(), 0.0),
-      diag_inv_(pattern.size(), 0.0)
-{
-    diag_slot_.assign(n_, -1);
-    for (std::size_t i = 0; i < n_; ++i) {
-        const int s = pattern.slot(static_cast<int>(i), static_cast<int>(i));
-        util::invariant(s >= 0, "pattern misses a diagonal entry");
-        diag_slot_[i] = s;
-    }
-}
-
-void Ilu0::factor(const Sparse_matrix& a, double pivot_floor)
-{
-    util::expects(a.size() == n_, "matrix size mismatch");
-    values_ = a.values();
-
-    // Slot map of the row being factored: col -> slot, -1 outside the
-    // pattern (the ILU(0) drop rule).
-    std::vector<int> slot_of(n_, -1);
-
-    for (std::size_t i = 0; i < n_; ++i) {
-        for (int s = row_ptr_[i]; s < row_ptr_[i + 1]; ++s) {
-            slot_of[static_cast<std::size_t>(cols_[static_cast<std::size_t>(s)])] = s;
-        }
-
-        // Columns are sorted, so L entries (col < i) come first and are
-        // processed in ascending order as IKJ elimination requires.
-        for (int s = row_ptr_[i]; s < row_ptr_[i + 1]; ++s) {
-            const int k = cols_[static_cast<std::size_t>(s)];
-            if (k >= static_cast<int>(i)) break;
-            const double f = values_[static_cast<std::size_t>(s)] *
-                             diag_inv_[static_cast<std::size_t>(k)];
-            values_[static_cast<std::size_t>(s)] = f;
-            const std::size_t ku = static_cast<std::size_t>(k);
-            for (int us = diag_slot_[ku] + 1; us < row_ptr_[ku + 1]; ++us) {
-                const int target =
-                    slot_of[static_cast<std::size_t>(cols_[static_cast<std::size_t>(us)])];
-                if (target >= 0) {
-                    values_[static_cast<std::size_t>(target)] -=
-                        f * values_[static_cast<std::size_t>(us)];
-                }
-            }
-        }
-
-        const double piv = values_[static_cast<std::size_t>(diag_slot_[i])];
-        MPSRAM_ASSERT(std::isfinite(piv), "non-finite ILU(0) pivot",
-                      MPSRAM_VAL(piv), MPSRAM_VAL(i));
-        if (std::fabs(piv) < pivot_floor) {
-            throw Singular_matrix_error("near-zero ILU(0) pivot at row " +
-                                        std::to_string(i));
-        }
-        diag_inv_[i] = 1.0 / piv;
-
-        for (int s = row_ptr_[i]; s < row_ptr_[i + 1]; ++s) {
-            slot_of[static_cast<std::size_t>(cols_[static_cast<std::size_t>(s)])] = -1;
-        }
-    }
-}
-
-void Ilu0::apply(std::vector<double>& x) const
-{
-    util::expects(x.size() == n_, "rhs size mismatch");
-
-    // Forward: L y = x (unit diagonal, entries with col < row).
-    for (std::size_t i = 0; i < n_; ++i) {
-        double acc = x[i];
-        for (int s = row_ptr_[i]; s < row_ptr_[i + 1]; ++s) {
-            const int c = cols_[static_cast<std::size_t>(s)];
-            if (c >= static_cast<int>(i)) break;
-            acc -= values_[static_cast<std::size_t>(s)] *
-                   x[static_cast<std::size_t>(c)];
-        }
-        x[i] = acc;
-    }
-
-    // Backward: U x = y (entries with col > row, then the diagonal).
-    for (std::size_t ii = n_; ii-- > 0;) {
-        double acc = x[ii];
-        for (int s = diag_slot_[ii] + 1; s < row_ptr_[ii + 1]; ++s) {
-            acc -= values_[static_cast<std::size_t>(s)] *
-                   x[static_cast<std::size_t>(cols_[static_cast<std::size_t>(s)])];
-        }
-        x[ii] = acc * diag_inv_[ii];
-    }
-}
-
-// --- bicgstab ----------------------------------------------------------------
-
-namespace {
-
-double dot(const std::vector<double>& a, const std::vector<double>& b)
-{
-    double acc = 0.0;
-    for (std::size_t i = 0; i < a.size(); ++i) acc += a[i] * b[i];
-    return acc;
-}
-
-double norm2(const std::vector<double>& a) { return std::sqrt(dot(a, a)); }
-
-} // namespace
-
-int bicgstab(const Sparse_matrix& a, const Ilu0& m,
-             const std::vector<double>& b, std::vector<double>& x,
-             double rel_tol, int max_iters, Bicgstab_scratch& w)
-{
-    const std::size_t n = a.size();
-    util::expects(b.size() == n && m.size() == n,
-                  "bicgstab operand size mismatch");
-
-    x.assign(n, 0.0);
-    const double bnorm = norm2(b);
-    if (bnorm == 0.0) return 0;  // zero RHS: zero solution, exactly
-    const double target = rel_tol * bnorm;
-
-    w.r = b;  // r = b - A*0
-    w.r0 = w.r;
-    w.p.assign(n, 0.0);
-    w.v.assign(n, 0.0);
-
-    double rho = 1.0, alpha = 1.0, omega = 1.0;
-    // Breakdown guard scaled to the problem: inner products below this
-    // are noise and the recurrence coefficients would be garbage.
-    const double tiny = 1e-300;
-
-    for (int k = 1; k <= max_iters; ++k) {
-        const double rho_next = dot(w.r0, w.r);
-        // A non-finite recurrence coefficient means the residual is
-        // already poisoned; the breakdown test below would miss NaN
-        // (fabs(NaN) < tiny is false) and keep iterating on garbage.
-        MPSRAM_ASSERT(std::isfinite(rho_next),
-                      "non-finite BiCGSTAB residual correlation",
-                      MPSRAM_VAL(rho_next), MPSRAM_VAL(k));
-        if (std::fabs(rho_next) < tiny) return -1;
-        const double beta = (rho_next / rho) * (alpha / omega);
-        for (std::size_t i = 0; i < n; ++i) {
-            w.p[i] = w.r[i] + beta * (w.p[i] - omega * w.v[i]);
-        }
-        w.phat = w.p;
-        m.apply(w.phat);
-        a.multiply(w.phat, w.v);
-        const double r0v = dot(w.r0, w.v);
-        if (std::fabs(r0v) < tiny) return -1;
-        alpha = rho_next / r0v;
-
-        w.s.resize(n);
-        for (std::size_t i = 0; i < n; ++i) w.s[i] = w.r[i] - alpha * w.v[i];
-        if (norm2(w.s) <= target) {
-            for (std::size_t i = 0; i < n; ++i) x[i] += alpha * w.phat[i];
-            return k;
-        }
-
-        w.shat = w.s;
-        m.apply(w.shat);
-        a.multiply(w.shat, w.t);
-        const double tt = dot(w.t, w.t);
-        if (tt < tiny) return -1;
-        omega = dot(w.t, w.s) / tt;
-
-        for (std::size_t i = 0; i < n; ++i) {
-            x[i] += alpha * w.phat[i] + omega * w.shat[i];
-        }
-        w.r.resize(n);
-        for (std::size_t i = 0; i < n; ++i) w.r[i] = w.s[i] - omega * w.t[i];
-        if (norm2(w.r) <= target) return k;
-        if (std::fabs(omega) < tiny) return -1;
-        rho = rho_next;
-    }
-    return -1;
 }
 
 } // namespace mpsram::spice

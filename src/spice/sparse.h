@@ -45,13 +45,9 @@ public:
     /// program writes every entry through this).
     double* value_data() { return values_.data(); }
 
-    /// y = A x (serial, deterministic).  The kernel of the iterative
-    /// solver.
-    void multiply(const std::vector<double>& x, std::vector<double>& y) const;
-
-    /// r = rhs - A x in one pass, with the operations of multiply()
-    /// followed by the subtraction (bitwise the same r).  The residual of
-    /// the factorization-reuse Newton path.
+    /// r = rhs - A x in one pass (serial, deterministic: each row's
+    /// products summed in column order from 0.0, then subtracted from
+    /// rhs).  The residual of the factorization-reuse Newton path.
     void residual(const std::vector<double>& rhs,
                   const std::vector<double>& x, std::vector<double>& r) const;
 
@@ -102,58 +98,6 @@ private:
 
     // First U slot per row is the diagonal (enforced during symbolic).
 };
-
-/// Incomplete LU with zero fill — ILU(0) — on a Sparse_matrix pattern.
-///
-/// The factorization is restricted to the original nonzero pattern
-/// (every update landing outside it is dropped), so the factor costs
-/// O(nnz * row width) with no symbolic fill pass, and apply() is two
-/// triangular sweeps over the original pattern.  On the MNA ladders this
-/// engine assembles (near-banded with natural ordering) ILU(0) is exact
-/// or nearly so, which makes it the preconditioner of the big-array
-/// iterative solver tier rather than a solver of its own.
-///
-/// The pattern (row pointers, columns, per-row diagonal slot) is copied
-/// at construction; factor() may be called repeatedly with new values of
-/// a matrix sharing that pattern.
-class Ilu0 {
-public:
-    explicit Ilu0(const Sparse_matrix& pattern);
-
-    /// Numeric ILU(0) of the matrix values (same pattern as the
-    /// constructor argument).  Throws Singular_matrix_error on a pivot
-    /// whose magnitude falls below `pivot_floor`.
-    void factor(const Sparse_matrix& a, double pivot_floor = 1e-13);
-
-    /// x := (L U)^-1 x (forward then backward sweep, in place).
-    void apply(std::vector<double>& x) const;
-
-    std::size_t size() const { return n_; }
-
-private:
-    std::size_t n_;
-    std::vector<int> row_ptr_;    ///< copy of the pattern row pointers
-    std::vector<int> cols_;       ///< copy of the pattern columns
-    std::vector<int> diag_slot_;  ///< slot of (i, i) per row
-    std::vector<double> values_;  ///< factored values, pattern-aligned
-    std::vector<double> diag_inv_;
-};
-
-/// Reusable vector scratch of bicgstab(); keep one per solver context so
-/// repeated Newton iterations do not reallocate.
-struct Bicgstab_scratch {
-    std::vector<double> r, r0, p, v, s, t, phat, shat;
-};
-
-/// Preconditioned BiCGSTAB: solve A x = b with right preconditioner M
-/// (x starts from the zero vector; `x` is overwritten).  Converges when
-/// ||r||_2 <= rel_tol * ||b||_2.  Returns the iteration count on
-/// success, -1 on breakdown or iteration exhaustion — the caller decides
-/// whether to refresh the preconditioner or fall back to a direct
-/// factorization.  Strictly serial and deterministic.
-int bicgstab(const Sparse_matrix& a, const Ilu0& m,
-             const std::vector<double>& b, std::vector<double>& x,
-             double rel_tol, int max_iters, Bicgstab_scratch& scratch);
 
 } // namespace mpsram::spice
 

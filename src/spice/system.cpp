@@ -664,12 +664,12 @@ void Mna_system::load(const Eval_context& ctx,
         evaluate(always_devices_[k], writer, ctx);
     }
 
-    // Checked devices.  On the reuse tiers a device whose terminals —
+    // Checked devices.  On the bypass tier a device whose terminals —
     // driven ones included — all stayed within device_bypass_vtol of its
     // last recorded evaluation keeps its values; the direct tier (and
     // vtol <= 0) re-evaluates every iteration and records nothing.
     const double vtol = opts.device_bypass_vtol;
-    const bool bypass = opts.solver != Solver_policy::direct && vtol > 0.0;
+    const bool bypass = opts.solver == Solver_policy::bypass && vtol > 0.0;
     for (std::size_t k = 0; k < checked_devices_.size(); ++k) {
         const auto first = static_cast<std::size_t>(check_ptr_[k]);
         const auto last = static_cast<std::size_t>(check_ptr_[k + 1]);
@@ -837,7 +837,7 @@ bool Mna_system::factor_stale(const Eval_context& ctx,
                               const std::vector<double>& voltages,
                               const Newton_options& opts) const
 {
-    if (!factored_ || factored_policy_ != opts.solver) return true;
+    if (!factored_) return true;
     if (mode_at_factor_ != ctx.mode || method_at_factor_ != ctx.method) {
         return true;
     }
@@ -862,42 +862,6 @@ bool Mna_system::factor_stale(const Eval_context& ctx,
     return false;
 }
 
-void Mna_system::factor_current(const Newton_options& opts)
-{
-    if (opts.solver == Solver_policy::iterative) {
-        if (!ilu_) ilu_ = std::make_unique<Ilu0>(*matrix_);
-        ilu_->factor(*matrix_, opts.pivot_floor);
-    } else {
-        lu_->factor(*matrix_, opts.pivot_floor);
-    }
-    ++counters_.lu_factorizations;
-}
-
-void Mna_system::solve_delta(const Newton_options& opts)
-{
-    if (opts.solver != Solver_policy::iterative) {
-        delta_ = residual_;
-        lu_->solve(delta_);
-        return;
-    }
-    if (bicgstab(*matrix_, *ilu_, residual_, delta_, opts.iterative_tol,
-                 opts.iterative_max_iters, krylov_scratch_) >= 0) {
-        return;
-    }
-    // Krylov breakdown or exhaustion under a stale preconditioner:
-    // refresh it once, then fall back to an exact factorization.
-    ilu_->factor(*matrix_, opts.pivot_floor);
-    ++counters_.lu_factorizations;
-    if (bicgstab(*matrix_, *ilu_, residual_, delta_, opts.iterative_tol,
-                 opts.iterative_max_iters, krylov_scratch_) >= 0) {
-        return;
-    }
-    lu_->factor(*matrix_, opts.pivot_floor);
-    ++counters_.lu_factorizations;
-    delta_ = residual_;
-    lu_->solve(delta_);
-}
-
 int Mna_system::solve_reuse(Eval_context ctx, std::vector<double>& voltages,
                             const Newton_options& opts,
                             std::span<const Forced_node> forces)
@@ -908,11 +872,11 @@ int Mna_system::solve_reuse(Eval_context ctx, std::vector<double>& voltages,
     // solve runs on a possibly stale factorization:
     //
     //     r = rhs - J x      (assembled J and rhs, SpMV)
-    //     M delta = r        (M = stale LU or ILU-preconditioned Krylov)
+    //     LU delta = r       (LU possibly stale)
     //     x += clamp(delta)
     //
     // The fixed point satisfies r = 0 for the assembled system, so a
-    // stale M only slows convergence — it cannot change the answer.  This
+    // stale LU only slows convergence — it cannot change the answer.  This
     // is what makes bypass safe for the nonlinear MOSFET stamps, where
     // pairing a stale factorization with a fresh absolute RHS would
     // converge to the wrong point.  Device-level bypass does perturb the
@@ -925,7 +889,7 @@ int Mna_system::solve_reuse(Eval_context ctx, std::vector<double>& voltages,
     // iteration refreshes and recomputes a TRUE Newton step, so the
     // accepted point passes the same fresh-Jacobian tolerance test as
     // the direct tier (a small chord step under a slowly contracting
-    // stale M does not bound the true step).
+    // stale LU does not bound the true step).
     bool confirm = false;
     // Consecutive iterations served by the current factorization in this
     // solve: the stall trigger refreshes a factor that has worked this
@@ -941,8 +905,8 @@ int Mna_system::solve_reuse(Eval_context ctx, std::vector<double>& voltages,
                              stale_iters >= opts.bypass_stall_iters ||
                              factor_stale(ctx, voltages, opts);
         if (refresh) {
-            factor_current(opts);
-            factored_policy_ = opts.solver;
+            lu_->factor(*matrix_, opts.pivot_floor);
+            ++counters_.lu_factorizations;
             mode_at_factor_ = ctx.mode;
             method_at_factor_ = ctx.method;
             dt_at_factor_ = ctx.dt;
@@ -966,14 +930,14 @@ int Mna_system::solve_reuse(Eval_context ctx, std::vector<double>& voltages,
         }
         matrix_->residual(rhs_, x_, residual_);
 
-        solve_delta(opts);
+        delta_ = residual_;
+        lu_->solve(delta_);
         // The residual is assembled fresh each iteration, so a poisoned
         // delta means either a poisoned stamp slipped through or the
-        // stale factorization/preconditioner produced garbage.
+        // stale factorization produced garbage.
         MPSRAM_ASSERT(util::all_finite(delta_),
                       "non-finite reuse-tier Newton delta",
-                      MPSRAM_VAL(ctx.time), MPSRAM_VAL(iter),
-                      MPSRAM_VAL(static_cast<int>(opts.solver)));
+                      MPSRAM_VAL(ctx.time), MPSRAM_VAL(iter));
 
         bool converged = true;
         for (std::size_t u = 0; u < n_node; ++u) {

@@ -32,7 +32,7 @@
 //       - checked: voltage-only and nonlinear, or linear with a driven
 //         column — re-evaluated every iteration on the direct tier, and
 //         behind the per-device device_bypass_vtol drift check on the
-//         reuse tiers;
+//         bypass tier;
 //       - always: nonlinear devices that are not voltage-only.
 //     Devices that make no stamp calls in DC are skipped in DC, with
 //     their slab values held at +0.0.
@@ -88,10 +88,7 @@ namespace mpsram::spice {
 ///               convergence stalls.  Converged solutions satisfy the
 ///               assembled residual — exact up to g * device_bypass_vtol
 ///               per quiet device, held to the 0.5% agreement budget.
-///   iterative — same reuse discipline applied to an ILU(0)
-///               preconditioner driving BiCGSTAB; the big-array tier
-///               where refactorization dominates wall time.
-enum class Solver_policy { direct, bypass, iterative };
+enum class Solver_policy { direct, bypass };
 
 struct Newton_options {
     int max_iterations = 100;
@@ -105,47 +102,41 @@ struct Newton_options {
     double pivot_floor = 1e-13;
 
     Solver_policy solver = Solver_policy::direct;
-    /// bypass/iterative: refresh the factorization when any node voltage
-    /// (driven nodes included — word-line ramps move the MOSFET
-    /// linearizations) drifts more than this from the factor-time
-    /// operating point [V].  Kept tight: a near-current operator keeps
+    /// bypass: refresh the factorization when any node voltage (driven
+    /// nodes included — word-line ramps move the MOSFET linearizations)
+    /// drifts more than this from the factor-time operating point [V].  Kept tight: a near-current operator keeps
     /// chord steps Newton-quality AND lets a converged solve accept on a
     /// still-valid factor without a confirmation iteration.
     double bypass_vtol = 5e-3;
-    /// bypass/iterative: refresh when dt leaves [dt_f / band, dt_f * band]
-    /// around the factor-time step (capacitor companion conductances
-    /// scale as C/dt).  Default 1.0 = dt-exact reuse: the adaptive
+    /// bypass: refresh when dt leaves [dt_f / band, dt_f * band] around
+    /// the factor-time step (capacitor companion conductances scale as
+    /// C/dt).  Default 1.0 = dt-exact reuse: the adaptive
     /// controller parks at dt_max through quiet stretches, which is
     /// where reuse pays; reusing across a dt change perturbs every
     /// companion conductance and stalls the chord iteration.
     double bypass_dt_band = 1.0;
-    /// bypass/iterative: refresh once a factorization has served this
-    /// many consecutive Newton iterations within a solve (convergence
-    /// stall under a stale operator).
+    /// bypass: refresh once a factorization has served this many
+    /// consecutive Newton iterations within a solve (convergence stall
+    /// under a stale operator).
     int bypass_stall_iters = 5;
-    /// bypass/iterative: device-level bypass (the classic SPICE BYPASS
-    /// lever).  A nonlinear device whose terminal voltages — driven
-    /// terminals included — all moved less than this [V] since its last
+    /// bypass: device-level bypass (the classic SPICE BYPASS lever).  A
+    /// nonlinear device whose terminal voltages — driven terminals
+    /// included — all moved less than this [V] since its last
     /// evaluation keeps its last stamp values instead of re-running the
     /// compact model.  The kept linearization is off by at most
     /// g * vtol, which the 0.5% agreement gate bounds end to end; the
     /// direct tier never uses it.  0 disables.
     double device_bypass_vtol = 1e-4;
-    /// iterative: BiCGSTAB relative-residual target and iteration cap.
-    /// The Krylov solve only has to deliver a Newton DELTA good to the
-    /// convergence tolerances — far looser than machine precision.
-    double iterative_tol = 1e-8;
-    int iterative_max_iters = 400;
 };
 
 /// Cumulative linear-solver work counters (monotone over the life of the
 /// system; analysis drivers snapshot-and-diff them into per-run
 /// Step_stats).  `bypass_hits` counts Newton iterations whose linear
-/// solve was served by a reused factorization/preconditioner —
-/// factorization-avoidance made observable.
+/// solve was served by a reused factorization — factorization-avoidance
+/// made observable.
 struct Solver_counters {
     long long newton_iterations = 0;
-    long long lu_factorizations = 0;  ///< LU factors + ILU(0) refreshes
+    long long lu_factorizations = 0;  ///< LU factorizations
     long long bypass_hits = 0;
     /// Compact-model or companion evaluations: nonlinear devices whose
     /// stamps were recomputed (not carried over) for an assembly, plus
@@ -256,8 +247,6 @@ private:
     bool factor_stale(const Eval_context& ctx,
                       const std::vector<double>& voltages,
                       const Newton_options& opts) const;
-    void factor_current(const Newton_options& opts);
-    void solve_delta(const Newton_options& opts);
 
     Circuit* circuit_;
     std::vector<int> solve_index_;    ///< node -> unknown index or -1
@@ -350,20 +339,17 @@ private:
     bool had_forces_ = false;
     double folded_gmin_ = 0.0;
 
-    // Factorization-reuse state (bypass / iterative tiers).  The reuse
-    // validity conditions live in factor_stale(); `v_at_factor_` is the
-    // full node-indexed voltage vector at factor time.
+    // Factorization-reuse state (bypass tier).  The reuse validity
+    // conditions live in factor_stale(); `v_at_factor_` is the full
+    // node-indexed voltage vector at factor time.
     Solver_counters counters_;
     bool factored_ = false;
-    Solver_policy factored_policy_ = Solver_policy::direct;
     Analysis_mode mode_at_factor_ = Analysis_mode::dc;
     Integration_method method_at_factor_ = Integration_method::backward_euler;
     double dt_at_factor_ = 0.0;
     double gmin_at_factor_ = 0.0;
     std::vector<double> v_at_factor_;
 
-    std::unique_ptr<Ilu0> ilu_;       ///< lazy; lives with the workspace
-    Bicgstab_scratch krylov_scratch_;
     std::vector<double> x_, residual_, delta_;
 };
 

@@ -9,15 +9,15 @@ namespace mpsram::sram {
 
 spice::Solver_policy parse_solver_policy(std::string_view text)
 {
-    if (text == "bypass") return spice::Solver_policy::bypass;
-    if (text == "direct") return spice::Solver_policy::direct;
-    if (text == "iterative") return spice::Solver_policy::iterative;
+    for (const auto policy : solver_policies) {
+        if (text == to_string(policy)) return policy;
+    }
     // Same loud-failure rule as MPSRAM_SIM_ACCURACY: a typo'd pin must
     // not silently run the wrong solver, and the message must show what
     // was seen and what would have worked.
-    throw util::Precondition_error(
-        "invalid MPSRAM_SOLVER_POLICY value '" + std::string(text) +
-        "' (accepted: 'direct', 'bypass', 'iterative')");
+    throw util::Precondition_error("invalid MPSRAM_SOLVER_POLICY value '" +
+                                   std::string(text) + "' (accepted: " +
+                                   solver_policy_tokens() + ")");
 }
 
 spice::Solver_policy default_solver_policy()
@@ -56,9 +56,18 @@ const char* to_string(spice::Solver_policy policy)
     switch (policy) {
     case spice::Solver_policy::direct: return "direct";
     case spice::Solver_policy::bypass: return "bypass";
-    case spice::Solver_policy::iterative: return "iterative";
     }
     return "unknown";
+}
+
+std::string solver_policy_tokens()
+{
+    std::string tokens;
+    for (const auto policy : solver_policies) {
+        if (!tokens.empty()) tokens += ", ";
+        tokens += "'" + std::string(to_string(policy)) + "'";
+    }
+    return tokens;
 }
 
 } // namespace mpsram::sram

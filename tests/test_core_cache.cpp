@@ -67,6 +67,12 @@ TEST(CoreCache, QueryJsonRoundTripsEveryField)
     EXPECT_EQ(back.mc.seed, q.mc.seed);
     EXPECT_EQ(back.mc.sampling, q.mc.sampling);
     EXPECT_EQ(back.twp_engine, q.twp_engine);
+
+    // A solver token outside the accepted set, such as the retired
+    // "iterative" tier, is rejected rather than mapped to another tier.
+    util::Json retired = core::json_of_query(q);
+    retired.set("solver", "iterative");
+    EXPECT_THROW(core::query_of_json(retired), util::Precondition_error);
 }
 
 TEST(CoreCache, QueryKeyIgnoresExecutionPolicy)

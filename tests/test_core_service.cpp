@@ -93,10 +93,21 @@ TEST(CoreService, MalformedRequestsGetStructuredErrors)
     EXPECT_EQ(code_of("{\"v\":1,\"op\":\"query\"}"), "malformed");
     EXPECT_EQ(code_of("{\"v\":1,\"op\":\"query\",\"query\":{\"bad\":1}}"),
               "malformed");
+    // The retired "iterative" solver tier: a decode error, never a
+    // fallback to another tier.
+    util::Json retired = core::json_of_query(small_query());
+    retired.set("solver", "iterative");
+    util::Json request = util::Json::parse(query_line(small_query(), 1));
+    request.set("query", std::move(retired));
+    const util::Json error =
+        util::Json::parse(service.handle_line(request.dump())).at("error");
+    EXPECT_EQ(error.at("code").as_string(), "malformed");
+    EXPECT_NE(error.at("message").as_string().find("'direct', 'bypass'"),
+              std::string::npos);
 
     // Every rejection produced a response; none touched the session.
-    EXPECT_EQ(service.stats().requests, 9u);
-    EXPECT_EQ(service.stats().errors, 9u);
+    EXPECT_EQ(service.stats().requests, 10u);
+    EXPECT_EQ(service.stats().errors, 10u);
     EXPECT_EQ(service.stats().queries, 0u);
     EXPECT_EQ(session.query_run_count(), 0u);
     EXPECT_FALSE(service.shutdown_requested());

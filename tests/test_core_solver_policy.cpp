@@ -1,7 +1,7 @@
-// Solver-tier contract at the query/session layer: the reuse tiers
-// (bypass, iterative) must stay inside the paper-row calibration budget
-// against the reference+direct oracle, stay bitwise deterministic across
-// thread counts, and be rejected loudly when combined with the reference
+// Solver-tier contract at the query/session layer: the reuse tier
+// (bypass) must stay inside the paper-row calibration budget against the
+// reference+direct oracle, stay bitwise deterministic across thread
+// counts, and be rejected loudly when combined with the reference
 // accuracy tier (sram/solver_policy.h).
 #include "sram/solver_policy.h"
 
@@ -27,18 +27,14 @@ using core::Query;
 using spice::Solver_policy;
 
 constexpr int kSizes[] = {8, 16, 24, 32};
-constexpr Solver_policy kReuseTiers[] = {Solver_policy::bypass,
-                                         Solver_policy::iterative};
 
 // --- resolution contract -----------------------------------------------------
 
-TEST(SolverPolicyContract, ReferenceRejectsExplicitReuseTiers)
+TEST(SolverPolicyContract, ReferenceRejectsExplicitBypass)
 {
-    for (const Solver_policy policy : kReuseTiers) {
-        EXPECT_THROW(sram::resolve_solver_policy(
-                         sram::Sim_accuracy::reference, policy),
-                     util::Precondition_error);
-    }
+    EXPECT_THROW(sram::resolve_solver_policy(sram::Sim_accuracy::reference,
+                                             Solver_policy::bypass),
+                 util::Precondition_error);
     // Defaulted and explicit-direct requests resolve to the oracle.
     EXPECT_EQ(sram::resolve_solver_policy(sram::Sim_accuracy::reference,
                                           std::nullopt),
@@ -51,8 +47,7 @@ TEST(SolverPolicyContract, ReferenceRejectsExplicitReuseTiers)
 TEST(SolverPolicyContract, FastHonorsExplicitRequests)
 {
     for (const Solver_policy policy :
-         {Solver_policy::direct, Solver_policy::bypass,
-          Solver_policy::iterative}) {
+         {Solver_policy::direct, Solver_policy::bypass}) {
         EXPECT_EQ(sram::resolve_solver_policy(sram::Sim_accuracy::fast,
                                               policy),
                   policy);
@@ -81,12 +76,11 @@ TEST(SolverPolicyContract, AllThreeWorkloadPathsEnforceIt)
 
 // --- paper-row agreement -----------------------------------------------------
 
-TEST(SolverPolicyAgreement, ReuseTiersStayInCalibrationBudget)
+TEST(SolverPolicyAgreement, BypassStaysInCalibrationBudget)
 {
     // Fig. 4 read rows (small prefix; bench_perf_solver gates the full
-    // set to 10x1024): fast+bypass and fast+iterative vs the
-    // reference+direct oracle, held to the same 0.5% budget as the
-    // accuracy tier itself.
+    // set to 10x1024): fast+bypass vs the reference+direct oracle, held
+    // to the same 0.5% budget as the accuracy tier itself.
     const core::Study_session session;
     constexpr int sizes[] = {16, 64};
     const Query base = Query(Metric::read_td)
@@ -94,19 +88,17 @@ TEST(SolverPolicyAgreement, ReuseTiersStayInCalibrationBudget)
                                             sizes);
     const core::Result_table reference = session.run(
         Query(base).with_accuracy(sram::Sim_accuracy::reference));
-    for (const Solver_policy policy : kReuseTiers) {
-        const core::Result_table fast =
-            session.run(Query(base)
-                            .with_accuracy(sram::Sim_accuracy::fast)
-                            .with_solver(policy));
-        ASSERT_EQ(fast.size(), reference.size());
-        for (std::size_t i = 0; i < reference.size(); ++i) {
-            const auto& ref = reference.as<core::Read_row>(i);
-            const auto& fst = fast.as<core::Read_row>(i);
-            EXPECT_LE(util::rel_diff(ref.td_nominal, fst.td_nominal), 5e-3);
-            EXPECT_LE(util::rel_diff(ref.td_varied, fst.td_varied), 5e-3);
-            EXPECT_LE(std::fabs(ref.tdp_percent - fst.tdp_percent), 0.5);
-        }
+    const core::Result_table fast =
+        session.run(Query(base)
+                        .with_accuracy(sram::Sim_accuracy::fast)
+                        .with_solver(Solver_policy::bypass));
+    ASSERT_EQ(fast.size(), reference.size());
+    for (std::size_t i = 0; i < reference.size(); ++i) {
+        const auto& ref = reference.as<core::Read_row>(i);
+        const auto& fst = fast.as<core::Read_row>(i);
+        EXPECT_LE(util::rel_diff(ref.td_nominal, fst.td_nominal), 5e-3);
+        EXPECT_LE(util::rel_diff(ref.td_varied, fst.td_varied), 5e-3);
+        EXPECT_LE(std::fabs(ref.tdp_percent - fst.tdp_percent), 0.5);
     }
 }
 
@@ -114,12 +106,11 @@ TEST(SolverPolicyAgreement, ReuseTiersStayInCalibrationBudget)
 
 TEST(SolverPolicyDeterminism, BitwiseIdenticalAcrossThreadsPerTier)
 {
-    // The factorization state of the reuse tiers evolves only from solve
+    // The factorization state of the bypass tier evolves only from solve
     // inputs, so the 1/2/8-thread bitwise contract must hold per tier
     // exactly as it does for direct.
     for (const Solver_policy policy :
-         {Solver_policy::direct, Solver_policy::bypass,
-          Solver_policy::iterative}) {
+         {Solver_policy::direct, Solver_policy::bypass}) {
         auto run = [&](int threads) {
             const core::Study_session session;
             return session.run(
@@ -158,8 +149,8 @@ struct Column_fixture {
 
 TEST(SolverPolicyLargeArray, ReferenceTransientSmokeAt4096)
 {
-    // The 4k-row tier the iterative path targets must also stay solvable
-    // by the fixed-step reference oracle.  A 4096-cell bitline is past
+    // A 4k-row column, 4x the paper's largest, must stay solvable by the
+    // fixed-step reference oracle.  A 4096-cell bitline is past
     // the paper's measurable range (the differential does not reach the
     // sense threshold inside any sane window), so this is a solver smoke
     // test: the transient must complete with healthy counters and
@@ -183,20 +174,25 @@ TEST(SolverPolicyLargeArray, ReferenceTransientSmokeAt4096)
     EXPECT_GE(r.bl_final, -1e-6);
 }
 
-TEST(SolverPolicyLargeArray, IterativeTransientSmokeAt4096)
+TEST(SolverPolicyLargeArray, BypassTransientSmokeAt4096)
 {
+    // The same column on the factorization-reuse tier: every Newton
+    // iteration either refactors or reuses, and reuse must actually
+    // happen at this size.
     Column_fixture f(4096);
     sram::Read_netlist net =
         sram::build_read_netlist(f.t, f.cell, f.wires, f.cfg);
     sram::Read_options opts;
     opts.accuracy = sram::Sim_accuracy::fast;
-    opts.solver = Solver_policy::iterative;
+    opts.solver = Solver_policy::bypass;
     opts.nominal_steps = 400;
     opts.max_retries = 0;
     const sram::Read_result r = sram::simulate_read(net, opts);
     ASSERT_GT(r.steps.accepted, 0);
     EXPECT_GT(r.steps.bypass_hits, 0);
     EXPECT_LT(r.steps.lu_factorizations, r.steps.newton_iterations);
+    EXPECT_EQ(r.steps.lu_factorizations + r.steps.bypass_hits,
+              r.steps.newton_iterations);
     EXPECT_LE(r.bl_final, r.blb_final);
 }
 

@@ -52,8 +52,6 @@ TEST(EnvPolicy, SolverPolicyParsesAcceptedTokens)
               spice::Solver_policy::direct);
     EXPECT_EQ(sram::parse_solver_policy("bypass"),
               spice::Solver_policy::bypass);
-    EXPECT_EQ(sram::parse_solver_policy("iterative"),
-              spice::Solver_policy::iterative);
 }
 
 TEST(EnvPolicy, SolverPolicyRejectsUnknownToken)
@@ -62,6 +60,10 @@ TEST(EnvPolicy, SolverPolicyRejectsUnknownToken)
                  util::Precondition_error);
     EXPECT_THROW(sram::parse_solver_policy(""), util::Precondition_error);
     EXPECT_THROW(sram::parse_solver_policy("ilu"),
+                 util::Precondition_error);
+    // The retired iterative tier's token must not fall back to a
+    // surviving tier.
+    EXPECT_THROW(sram::parse_solver_policy("iterative"),
                  util::Precondition_error);
 }
 
@@ -77,7 +79,7 @@ TEST(EnvPolicy, SolverPolicyErrorNamesValueAndAcceptedSet)
         EXPECT_NE(what.find("'bypas'"), std::string::npos) << what;
         EXPECT_NE(what.find("'direct'"), std::string::npos) << what;
         EXPECT_NE(what.find("'bypass'"), std::string::npos) << what;
-        EXPECT_NE(what.find("'iterative'"), std::string::npos) << what;
+        EXPECT_EQ(what.find("'iterative'"), std::string::npos) << what;
     }
 }
 
@@ -153,8 +155,7 @@ TEST(EnvPolicy, DefaultsAreUsableWithoutEnvPins)
                 acc == sram::Sim_accuracy::reference);
     const spice::Solver_policy pol = sram::default_solver_policy();
     EXPECT_TRUE(pol == spice::Solver_policy::direct ||
-                pol == spice::Solver_policy::bypass ||
-                pol == spice::Solver_policy::iterative);
+                pol == spice::Solver_policy::bypass);
     const core::Cache_mode mode = core::default_cache_mode();
     EXPECT_TRUE(mode == core::Cache_mode::off ||
                 mode == core::Cache_mode::read ||

@@ -37,8 +37,6 @@ constexpr Tier tiers[] = {
      spice::Solver_policy::direct},
     {"fast+direct", sram::Sim_accuracy::fast, spice::Solver_policy::direct},
     {"fast+bypass", sram::Sim_accuracy::fast, spice::Solver_policy::bypass},
-    {"fast+iterative", sram::Sim_accuracy::fast,
-     spice::Solver_policy::iterative},
 };
 
 class GoldenResults : public ::testing::Test {
@@ -91,22 +89,19 @@ core::Study_session* GoldenResults::session_ = nullptr;
 TEST_F(GoldenResults, ReadTd)
 {
     check_tiers(core::Metric::read_td,
-                {"d87dab213289bb4b", "538cb5fec3ad4475", "aaff5ff3b44ec1b3",
-                 "82de4de9ff8be844"});
+                {"d87dab213289bb4b", "538cb5fec3ad4475", "aaff5ff3b44ec1b3"});
 }
 
 TEST_F(GoldenResults, WriteTw)
 {
     check_tiers(core::Metric::write_tw,
-                {"e1a0c47f24f9c4f2", "5aa540c1a5e2cb26", "0ea89f15f209ca1d",
-                 "433fa2891efd5499"});
+                {"e1a0c47f24f9c4f2", "5aa540c1a5e2cb26", "0ea89f15f209ca1d"});
 }
 
 TEST_F(GoldenResults, Disturb)
 {
     check_tiers(core::Metric::disturb,
-                {"875ec32d00792f77", "91c01a6eaca0c8a6", "9c098be03c927002",
-                 "40934c203b531ecc"});
+                {"875ec32d00792f77", "91c01a6eaca0c8a6", "9c098be03c927002"});
 }
 
 TEST_F(GoldenResults, WorstCaseRc)

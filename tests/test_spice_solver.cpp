@@ -1,6 +1,6 @@
-// Linear-solver tier (spice::Solver_policy): factorization reuse, ILU(0),
-// BiCGSTAB, and the Step_stats counter contracts that prove which tier
-// actually ran.  Semantics in spice/analysis.h.
+// Linear-solver tier (spice::Solver_policy): factorization reuse and the
+// Step_stats counter contracts that prove which tier actually ran.
+// Semantics in spice/analysis.h.
 #include "spice/sparse.h"
 
 #include <cmath>
@@ -20,8 +20,6 @@
 namespace {
 
 using namespace mpsram;
-using spice::Bicgstab_scratch;
-using spice::Ilu0;
 using spice::Solver_policy;
 using spice::Sparse_lu;
 using spice::Sparse_matrix;
@@ -81,67 +79,8 @@ TEST(SolverReuse, StaleFactorSolveBitwiseIdenticalToFresh)
     }
 }
 
-TEST(Ilu0, ExactOnTridiagonalLadder)
-{
-    // A tridiagonal factorization has no fill to drop, so ILU(0) IS the
-    // exact LU and apply() solves the system to rounding.
-    const std::size_t n = 80;
-    const Sparse_matrix m = ladder(n);
-    Ilu0 ilu(m);
-    ilu.factor(m);
-
-    Sparse_lu lu(m);
-    lu.factor(m);
-
-    std::vector<double> x_ilu = ramp_rhs(n);
-    ilu.apply(x_ilu);
-    std::vector<double> x_lu = ramp_rhs(n);
-    lu.solve(x_lu);
-    for (std::size_t i = 0; i < n; ++i) {
-        EXPECT_NEAR(x_ilu[i], x_lu[i], 1e-11) << "row " << i;
-    }
-}
-
-TEST(Bicgstab, SolvesLadderToTolerance)
-{
-    const std::size_t n = 200;
-    const Sparse_matrix m = ladder(n);
-    Ilu0 ilu(m);
-    ilu.factor(m);
-
-    const std::vector<double> b = ramp_rhs(n);
-    std::vector<double> x;
-    Bicgstab_scratch scratch;
-    const int iters = spice::bicgstab(m, ilu, b, x, 1e-12, 400, scratch);
-    ASSERT_GE(iters, 0) << "breakdown on a well-conditioned ladder";
-
-    // With the exact-on-tridiagonal preconditioner the first Krylov step
-    // already lands on the solution.
-    EXPECT_LE(iters, 3);
-
-    Sparse_lu lu(m);
-    lu.factor(m);
-    std::vector<double> x_ref = b;
-    lu.solve(x_ref);
-    for (std::size_t i = 0; i < n; ++i) {
-        EXPECT_NEAR(x[i], x_ref[i], 1e-9) << "row " << i;
-    }
-}
-
-TEST(Bicgstab, ZeroRhsReturnsZeroInZeroIterations)
-{
-    const Sparse_matrix m = ladder(16);
-    Ilu0 ilu(m);
-    ilu.factor(m);
-    std::vector<double> x(16, 7.0);  // stale content must be cleared
-    Bicgstab_scratch scratch;
-    const std::vector<double> b(16, 0.0);
-    EXPECT_EQ(spice::bicgstab(m, ilu, b, x, 1e-12, 50, scratch), 0);
-    for (const double v : x) EXPECT_EQ(v, 0.0);
-}
-
-/// A small SRAM read column: the nonlinear MOSFET workload the reuse
-/// tiers must reproduce, with Step_stats exposing which tier ran.
+/// A small SRAM read column: the nonlinear MOSFET workload the bypass
+/// tier must reproduce, with Step_stats exposing which tier ran.
 struct Read_fixture {
     tech::Technology t = tech::n10();
     sram::Cell_electrical cell = sram::Cell_electrical::n10(t.feol);
@@ -168,19 +107,15 @@ struct Read_fixture {
     }
 };
 
-TEST(SolverPolicy, ReuseTiersAgreeWithDirectOnReadColumn)
+TEST(SolverPolicy, BypassAgreesWithDirectOnReadColumn)
 {
     Read_fixture f(8);
     const sram::Read_result direct = f.run(Solver_policy::direct);
     ASSERT_TRUE(direct.crossed);
-    for (const Solver_policy policy :
-         {Solver_policy::bypass, Solver_policy::iterative}) {
-        const sram::Read_result r = f.run(policy);
-        ASSERT_TRUE(r.crossed);
-        EXPECT_LE(util::rel_diff(direct.td, r.td), 5e-3)
-            << "policy " << static_cast<int>(policy);
-        EXPECT_LE(std::fabs(direct.bl_final - r.bl_final), 5e-3);
-    }
+    const sram::Read_result r = f.run(Solver_policy::bypass);
+    ASSERT_TRUE(r.crossed);
+    EXPECT_LE(util::rel_diff(direct.td, r.td), 5e-3);
+    EXPECT_LE(std::fabs(direct.bl_final - r.bl_final), 5e-3);
 }
 
 TEST(SolverPolicy, DirectCountersFactorEveryIteration)
@@ -208,19 +143,6 @@ TEST(SolverPolicy, BypassCountersProveFactorizationsAvoided)
               r.steps.newton_iterations);
     EXPECT_GT(r.steps.bypass_hits, 0);
     EXPECT_LT(r.steps.lu_factorizations * 2, direct.steps.lu_factorizations);
-}
-
-TEST(SolverPolicy, IterativeCountersShowPreconditionerReuse)
-{
-    Read_fixture f(8);
-    const sram::Read_result r = f.run(Solver_policy::iterative);
-    ASSERT_GT(r.steps.newton_iterations, 0);
-    EXPECT_GT(r.steps.bypass_hits, 0);
-    // Breakdown fallbacks may add factorizations beyond the per-iteration
-    // refreshes, never remove them.
-    EXPECT_GE(r.steps.lu_factorizations + r.steps.bypass_hits,
-              r.steps.newton_iterations);
-    EXPECT_LT(r.steps.lu_factorizations, r.steps.newton_iterations);
 }
 
 TEST(SolverPolicy, LinearCircuitTiersMatchTightly)
