@@ -70,6 +70,22 @@ int dc_into(Mna_system& system, std::size_t node_count,
     return iterations;
 }
 
+/// True if |v(a) - v(b)| crosses the stop level in the accepted segment
+/// (t0, before) -> (t1, after): the same per-segment test, on the same
+/// |difference| values, as Piecewise_linear::first_crossing on
+/// Transient_result::differential.
+bool crossed_in(const Differential_stop& stop,
+                const std::vector<double>& before, double t0,
+                const std::vector<double>& after, double t1)
+{
+    const auto a = static_cast<std::size_t>(stop.a);
+    const auto b = static_cast<std::size_t>(stop.b);
+    return util::segment_crossing(t0, std::fabs(before[a] - before[b]), t1,
+                                  std::fabs(after[a] - after[b]), stop.level,
+                                  stop.from)
+        .has_value();
+}
+
 } // namespace
 
 Dc_result dc_operating_point(Circuit& circuit, const Dc_options& opts,
@@ -154,6 +170,13 @@ Transient_result run_transient(Circuit& circuit,
 {
     util::expects(opts.tstop > 0.0, "tstop must be positive");
     util::expects(opts.nominal_steps > 0, "nominal_steps must be positive");
+    if (opts.stop) {
+        const auto in_circuit = [&](Node n) {
+            return n >= 0 && static_cast<std::size_t>(n) < circuit.node_count();
+        };
+        util::expects(in_circuit(opts.stop->a) && in_circuit(opts.stop->b),
+                      "stop nodes must belong to the circuit");
+    }
 
     Mna_system& system = workspace.bind(circuit);
     system.reset_reuse_state();
@@ -271,9 +294,14 @@ Transient_result run_transient(Circuit& circuit,
         std::swap(voltages, attempt);
         ctx.voltages = voltages.data();
         system.accept(ctx);
+        const double t_prev = t;
         t += dt;
         ++stats.accepted;
         result.append(t, voltages);
+        if (opts.stop && crossed_in(*opts.stop, prev_voltages, t_prev,
+                                    voltages, t)) {
+            break;
+        }
 
         if (opts.adaptive) {
             // Grow toward the error target (cube-root law for a

@@ -32,6 +32,7 @@
 #ifndef MPSRAM_SPICE_ANALYSIS_H
 #define MPSRAM_SPICE_ANALYSIS_H
 
+#include <optional>
 #include <string>
 #include <vector>
 
@@ -67,6 +68,16 @@ Dc_result dc_operating_point(Circuit& circuit, const Dc_options& opts = {});
 Dc_result dc_operating_point(Circuit& circuit, const Dc_options& opts,
                              Transient_workspace& workspace);
 
+/// Early end of a transient at a differential crossing: the first accepted
+/// sample at which |v(a) - v(b)| has reached `level` at or after `from`.
+/// See Transient_options::stop for the contract.
+struct Differential_stop {
+    Node a = ground_node;
+    Node b = ground_node;
+    double level = 0.0;
+    double from = 0.0;
+};
+
 struct Transient_options {
     double tstop = 0.0;
     /// Nominal step = tstop / nominal_steps; the engine additionally lands
@@ -96,6 +107,21 @@ struct Transient_options {
     double lte_max_growth = 4.0;
     /// Smallest allowed step relative to the nominal step.
     double lte_min_shrink = 1e-4;
+
+    // --- early stop ----------------------------------------------------------
+    /// When set, the run ends at the first accepted sample that closes the
+    /// segment in which |v(a) - v(b)| crosses `level` at or after `from`,
+    /// the segment test being util::segment_crossing.  Contract:
+    ///  * Step control is causal and keeps the same tstop and breakpoints,
+    ///    so every sample up to the stop is bitwise the sample of the run
+    ///    without a stop: the stopped result is a prefix of the full one.
+    ///  * differential_time(result, a, b, level, from) on the stopped
+    ///    result is therefore bitwise the value on the full result, and
+    ///    the crossing lies in the last recorded segment.
+    ///  * A run that never crosses ends at tstop, exactly as without a
+    ///    stop.  Step_stats and final values cover the recorded samples
+    ///    only.
+    std::optional<Differential_stop> stop;
 };
 
 /// Per-run step-control counters (filled by run_transient).  `accepted` is

@@ -15,6 +15,29 @@ Read_result simulate_read(Read_netlist& net, const Read_options& opts)
     return simulate_read(net, opts, workspace);
 }
 
+spice::Transient_options read_transient_options(const Read_netlist& net,
+                                                const Read_options& opts,
+                                                int attempt)
+{
+    const double t_ref = net.timing.wl_mid();
+    const double window = std::ldexp(
+        std::max(opts.min_window,
+                 opts.window_per_cell * static_cast<double>(net.word_lines)),
+        attempt);
+
+    spice::Transient_options topts;
+    topts.tstop = t_ref + window;
+    topts.nominal_steps = opts.nominal_steps;
+    topts.method = opts.method;
+    topts.dc = net.dc;
+    apply_sim_accuracy(topts, opts.accuracy);
+    apply_solver_policy(topts,
+                        resolve_solver_policy(opts.accuracy, opts.solver));
+    topts.stop = spice::Differential_stop{net.bl_sense, net.blb_sense,
+                                          net.sense_margin, t_ref};
+    return topts;
+}
+
 Read_result simulate_read(Read_netlist& net, const Read_options& opts,
                           spice::Transient_workspace& workspace)
 {
@@ -27,32 +50,19 @@ Read_result simulate_read(Read_netlist& net, const Read_options& opts,
                    MPSRAM_VAL(opts.max_retries));
 
     const double t_ref = net.timing.wl_mid();
-    double window =
-        std::max(opts.min_window,
-                 opts.window_per_cell * static_cast<double>(net.word_lines));
-
-    const spice::Solver_policy solver =
-        resolve_solver_policy(opts.accuracy, opts.solver);
+    const std::string bl_name = net.circuit.node_name(net.bl_sense);
+    const std::string blb_name = net.circuit.node_name(net.blb_sense);
+    const std::vector<spice::Node> probes = {
+        net.bl_sense, net.blb_sense, net.bl_far, net.blb_far, net.wl,
+        net.q, net.qb};
 
     Read_result result;
     for (int attempt = 0; attempt <= opts.max_retries; ++attempt) {
-        spice::Transient_options topts;
-        topts.tstop = t_ref + window;
-        topts.nominal_steps = opts.nominal_steps;
-        topts.method = opts.method;
-        topts.dc = net.dc;
-        apply_sim_accuracy(topts, opts.accuracy);
-        apply_solver_policy(topts, solver);
-
-        const std::vector<spice::Node> probes = {
-            net.bl_sense, net.blb_sense, net.bl_far, net.blb_far, net.wl,
-            net.q, net.qb};
-        spice::Transient_result waves =
-            spice::run_transient(net.circuit, probes, topts, workspace);
+        spice::Transient_result waves = spice::run_transient(
+            net.circuit, probes, read_transient_options(net, opts, attempt),
+            workspace);
         result.steps += waves.steps();
 
-        const std::string bl_name = net.circuit.node_name(net.bl_sense);
-        const std::string blb_name = net.circuit.node_name(net.blb_sense);
         const double t_cross = spice::differential_time(
             waves, bl_name, blb_name, net.sense_margin, t_ref);
 
@@ -71,7 +81,6 @@ Read_result simulate_read(Read_netlist& net, const Read_options& opts,
                           MPSRAM_VAL(t_ref));
             return result;
         }
-        window *= 2.0;
     }
     return result;  // never crossed: td = -1
 }

@@ -42,12 +42,26 @@ struct Read_result {
     double td = -1.0;       ///< [s]; negative if never crossed
     double t_cross = -1.0;  ///< absolute crossing time [s]
     bool crossed = false;
-    double bl_final = 0.0;  ///< sense-node BL voltage at window end [V]
+    /// Sense-node BL / BLB voltages at the last simulated sample [V]: the
+    /// stop sample that closes the crossing segment of a crossed read (see
+    /// read_transient_options), the window end of one that never crossed.
+    double bl_final = 0.0;
     double blb_final = 0.0;
     /// Step-control counters summed over the window-doubling attempts of
     /// this measurement (adaptive-vs-fixed cost observable).
     spice::Step_stats steps;
 };
+
+/// Transient options of read attempt `attempt` (0 = the first window;
+/// each retry doubles it): tstop = wl_mid + window, the accuracy and solver
+/// tiers of `opts`, and a stop at the first sample where
+/// |v(bl_sense) - v(blb_sense)| has reached `sense_margin` after wl_mid.
+/// td only needs that crossing, and the stopped run's samples are a prefix
+/// of the full window's (analysis.h), so td is bitwise that of the full
+/// window; reset `stop` to integrate the whole window.
+spice::Transient_options read_transient_options(const Read_netlist& net,
+                                                const Read_options& opts,
+                                                int attempt = 0);
 
 /// Simulate the read and measure td.  The netlist is reusable: capacitor
 /// history is re-initialized by the DC operating point of each run.  The

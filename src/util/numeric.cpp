@@ -45,30 +45,39 @@ double Piecewise_linear::at(double x) const
     return lerp(xs_[lo], ys_[lo], xs_[hi], ys_[hi], x);
 }
 
+std::optional<double> segment_crossing(double x0, double y0, double x1,
+                                       double y1, double level, double from)
+{
+    if (x1 < from) return std::nullopt;
+    const double d0 = y0 - level;
+    const double d1 = y1 - level;
+    if (d0 == 0.0) {
+        if (x0 >= from) return x0;
+        // Segment starts exactly at the level but before `from`.  A
+        // flat-at-level segment is at the level everywhere, so the first
+        // qualifying point is `from` itself; a non-flat segment leaves the
+        // level immediately and cannot cross again before x1 (linear).
+        if (d1 == 0.0) return from;
+        return std::nullopt;
+    }
+    if ((d0 < 0.0 && d1 >= 0.0) || (d0 > 0.0 && d1 <= 0.0)) {
+        // Interpolate the crossing inside this segment.
+        const double t = d0 / (d0 - d1);
+        const double x = x0 + t * (x1 - x0);
+        if (x >= from) return x;
+    }
+    return std::nullopt;
+}
+
 double Piecewise_linear::first_crossing(double level, double from) const
 {
     if (xs_.size() == 1) {
         return (ys_[0] == level && xs_[0] >= from) ? xs_[0] : -1.0;
     }
     for (std::size_t i = 1; i < xs_.size(); ++i) {
-        if (xs_[i] < from) continue;
-        const double y0 = ys_[i - 1] - level;
-        const double y1 = ys_[i] - level;
-        if (y0 == 0.0) {
-            if (xs_[i - 1] >= from) return xs_[i - 1];
-            // Segment starts exactly at the level but before `from`.  A
-            // flat-at-level segment is at the level everywhere, so the
-            // first qualifying point is `from` itself; a non-flat segment
-            // leaves the level immediately and cannot cross again before
-            // xs_[i] (linear), so fall through to the next segment.
-            if (y1 == 0.0) return from;
-            continue;
-        }
-        if ((y0 < 0.0 && y1 >= 0.0) || (y0 > 0.0 && y1 <= 0.0)) {
-            // Interpolate the crossing inside this segment.
-            const double t = y0 / (y0 - y1);
-            const double x = xs_[i - 1] + t * (xs_[i] - xs_[i - 1]);
-            if (x >= from) return x;
+        if (const std::optional<double> x = segment_crossing(
+                xs_[i - 1], ys_[i - 1], xs_[i], ys_[i], level, from)) {
+            return *x;
         }
     }
     return -1.0;

@@ -5,12 +5,26 @@
 #define MPSRAM_UTIL_NUMERIC_H
 
 #include <functional>
+#include <optional>
 #include <vector>
 
 namespace mpsram::util {
 
 /// Linear interpolation between (x0, y0) and (x1, y1) at x.
 double lerp(double x0, double y0, double x1, double y1, double x);
+
+/// Crossing test of one segment (x0, y0) -> (x1, y1), x0 < x1, against
+/// `level`: the first x >= from in this segment where y reaches `level`,
+/// linearly interpolated, or nullopt.  A segment ending before `from` never
+/// crosses.  A segment starting exactly at the level reports x0 when
+/// x0 >= from; if x0 < from, a flat-at-level segment reports `from` itself
+/// and a non-flat one nullopt (it leaves the level at once and, being
+/// linear, cannot return to it inside the segment).  Scanning segments in
+/// order with this test is Piecewise_linear::first_crossing; the transient
+/// engine's differential stop rule applies it to each newly accepted
+/// segment, so both agree on the crossing bit for bit.
+std::optional<double> segment_crossing(double x0, double y0, double x1,
+                                       double y1, double level, double from);
 
 /// Piecewise-linear sampled waveform y(x) with strictly increasing x.
 class Piecewise_linear {

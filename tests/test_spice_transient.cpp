@@ -1,5 +1,6 @@
 #include "spice/analysis.h"
 
+#include <algorithm>
 #include <bit>
 #include <cmath>
 #include <cstdint>
@@ -193,24 +194,33 @@ TEST(Transient, InverterSwitchesAndIsMeasurable)
     EXPECT_LT(t50, 120e-12);
 }
 
+/// Two RC branches with different taus driven by one step: they develop
+/// a measurable differential.
+struct Two_tau_fixture {
+    Circuit circuit;
+    Node a = 0;
+    Node b = 0;
+
+    Two_tau_fixture()
+    {
+        const Node in = circuit.node("in");
+        a = circuit.node("a");
+        b = circuit.node("b");
+        circuit.add_voltage_source("Vin", in, ground_node,
+                                   Waveform::pulse(0.0, 1.0, 0.1e-9, 1e-12));
+        circuit.add_resistor("Ra", in, a, 1000.0);
+        circuit.add_capacitor("Ca", a, ground_node, 1e-12);
+        circuit.add_resistor("Rb", in, b, 3000.0);
+        circuit.add_capacitor("Cb", b, ground_node, 1e-12);
+    }
+};
+
 TEST(Transient, DifferentialMeasurement)
 {
-    // Two RC branches with different taus develop a measurable
-    // differential.
-    Circuit c;
-    const Node in = c.node("in");
-    const Node a = c.node("a");
-    const Node b = c.node("b");
-    c.add_voltage_source("Vin", in, ground_node,
-                         Waveform::pulse(0.0, 1.0, 0.1e-9, 1e-12));
-    c.add_resistor("Ra", in, a, 1000.0);
-    c.add_capacitor("Ca", a, ground_node, 1e-12);
-    c.add_resistor("Rb", in, b, 3000.0);
-    c.add_capacitor("Cb", b, ground_node, 1e-12);
-
+    Two_tau_fixture f;
     Transient_options opts;
     opts.tstop = 3e-9;
-    const auto res = run_transient(c, {a, b}, opts);
+    const auto res = run_transient(f.circuit, {f.a, f.b}, opts);
     const double t = differential_time(res, "a", "b", 0.1, 0.1e-9);
     EXPECT_GT(t, 0.1e-9);
     EXPECT_LT(t, 1.5e-9);
@@ -218,11 +228,60 @@ TEST(Transient, DifferentialMeasurement)
     EXPECT_NEAR(res.differential("a", "b").at(t), 0.1, 1e-6);
 }
 
+TEST(Transient, DifferentialStopEndsAtTheCrossingSegment)
+{
+    for (const bool adaptive : {false, true}) {
+        SCOPED_TRACE(adaptive ? "adaptive" : "fixed step");
+        Two_tau_fixture f;
+        Transient_options opts;
+        opts.tstop = 3e-9;
+        opts.adaptive = adaptive;
+        const auto full = run_transient(f.circuit, {f.a, f.b}, opts);
+        opts.stop = Differential_stop{f.a, f.b, 0.1, 0.1e-9};
+        const auto stopped = run_transient(f.circuit, {f.a, f.b}, opts);
+
+        const double t_full = differential_time(full, "a", "b", 0.1, 0.1e-9);
+        ASSERT_GT(t_full, 0.0);
+        EXPECT_EQ(differential_time(stopped, "a", "b", 0.1, 0.1e-9), t_full);
+
+        // A prefix of the full run, ending on the first sample at or past
+        // the crossing.
+        const std::size_t k = stopped.sample_count();
+        ASSERT_GE(k, 2u);
+        ASSERT_LT(k, full.sample_count());
+        EXPECT_TRUE(std::equal(stopped.time().begin(), stopped.time().end(),
+                               full.time().begin()));
+        for (const char* p : {"a", "b"}) {
+            const mpsram::util::Piecewise_linear head = stopped.waveform(p);
+            const mpsram::util::Piecewise_linear whole = full.waveform(p);
+            EXPECT_TRUE(std::equal(head.ys().begin(), head.ys().end(),
+                                   whole.ys().begin()))
+                << "probe " << p;
+        }
+        EXPECT_LE(stopped.time()[k - 2], t_full);
+        EXPECT_GE(stopped.time()[k - 1], t_full);
+        EXPECT_EQ(stopped.steps().accepted, static_cast<int>(k) - 1);
+        EXPECT_LT(stopped.steps().newton_iterations,
+                  full.steps().newton_iterations);
+
+        // A level the differential never reaches runs the whole window.
+        opts.stop->level = 2.0;
+        const auto never = run_transient(f.circuit, {f.a, f.b}, opts);
+        EXPECT_EQ(never.time(), full.time());
+        EXPECT_EQ(never.steps().newton_iterations,
+                  full.steps().newton_iterations);
+    }
+}
+
 TEST(Transient, ValidatesOptions)
 {
     Rc_fixture f;
     Transient_options opts;
     opts.tstop = 0.0;
+    EXPECT_THROW(run_transient(f.circuit, {f.out}, opts),
+                 mpsram::util::Precondition_error);
+    opts.tstop = 1e-9;
+    opts.stop = Differential_stop{f.out, 99, 0.1, 0.0};
     EXPECT_THROW(run_transient(f.circuit, {f.out}, opts),
                  mpsram::util::Precondition_error);
 }

@@ -13,6 +13,7 @@ using mpsram::util::lerp;
 using mpsram::util::Piecewise_linear;
 using mpsram::util::polyval;
 using mpsram::util::rel_diff;
+using mpsram::util::segment_crossing;
 
 TEST(Lerp, InterpolatesAndExtrapolates)
 {
@@ -104,6 +105,34 @@ TEST(PiecewiseLinear, FirstCrossingSingleSample)
     EXPECT_LT(at_level.first_crossing(0.5, 2.0), 0.0);
     const Piecewise_linear off_level({1.0}, {0.4});
     EXPECT_LT(off_level.first_crossing(0.5), 0.0);
+}
+
+TEST(SegmentCrossing, InterpolatesInsideTheSegment)
+{
+    EXPECT_DOUBLE_EQ(*segment_crossing(0.0, 0.0, 2.0, 1.0, 0.25, 0.0), 0.5);
+    EXPECT_DOUBLE_EQ(*segment_crossing(0.0, 1.0, 2.0, 0.0, 0.25, 0.0), 1.5);
+    EXPECT_FALSE(segment_crossing(0.0, 0.0, 1.0, 0.4, 0.5, 0.0));
+}
+
+TEST(SegmentCrossing, StartAtLevel)
+{
+    // y0 == level at or after `from`: the start sample is the crossing.
+    EXPECT_DOUBLE_EQ(*segment_crossing(1.0, 0.5, 2.0, 0.9, 0.5, 1.0), 1.0);
+    EXPECT_DOUBLE_EQ(*segment_crossing(1.0, 0.5, 2.0, 0.9, 0.5, 0.0), 1.0);
+    // y0 == level before `from`: flat at the level reports `from`; a
+    // segment leaving the level has no crossing.
+    EXPECT_DOUBLE_EQ(*segment_crossing(1.0, 0.5, 2.0, 0.5, 0.5, 1.5), 1.5);
+    EXPECT_FALSE(segment_crossing(1.0, 0.5, 2.0, 0.9, 0.5, 1.5));
+    EXPECT_FALSE(segment_crossing(1.0, 0.5, 2.0, 0.1, 0.5, 1.5));
+}
+
+TEST(SegmentCrossing, CrossingBeforeFrom)
+{
+    // Crosses 0.25 at x = 0.5: reported from 0.5 on, not after it.
+    EXPECT_DOUBLE_EQ(*segment_crossing(0.0, 0.0, 2.0, 1.0, 0.25, 0.5), 0.5);
+    EXPECT_FALSE(segment_crossing(0.0, 0.0, 2.0, 1.0, 0.25, 1.0));
+    // A segment ending before `from` never crosses, even at its end.
+    EXPECT_FALSE(segment_crossing(0.0, 0.0, 2.0, 1.0, 1.0, 2.5));
 }
 
 TEST(Polyval, EvaluatesHornerForm)
