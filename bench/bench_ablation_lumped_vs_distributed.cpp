@@ -12,7 +12,7 @@
 // (Section III-A); the Elmore variant should land between 1 and 3.
 #include <iostream>
 
-#include "core/study.h"
+#include "core/session.h"
 #include "util/table.h"
 
 namespace {
@@ -36,17 +36,22 @@ int main()
 {
     using namespace mpsram;
 
-    core::Variability_study study;
+    const core::Study_session session;
 
     std::cout << "Ablation: lumped vs distributed bit-line treatment\n\n";
     util::Table table({"Array size", "lumped (eq.4)", "Elmore variant",
                        "SPICE", "lumped err", "Elmore err"});
 
     for (int n : {16, 64, 256, 1024}) {
-        const analytic::Td_params p = study.formula_params(n);
+        const analytic::Td_params p = session.formula_params(n);
         const double lumped = analytic::td_lumped(p, n);
         const double elmore = td_elmore(p, n);
-        const double sim = study.nominal_td(n).td_simulation;
+        const double sim =
+            session
+                .run(core::Query(core::Metric::nominal_td)
+                         .with_case({tech::Patterning_option::euv, n}))
+                .as<core::Nominal_td_row>(0)
+                .td_simulation;
         table.add_row({
             "10x" + std::to_string(n),
             util::fmt_time(lumped, 2),

@@ -6,25 +6,26 @@
 // the tdp trend.  This bench evaluates the EUV and LE3 worst-case tdp via
 // the formula under three scaling laws and reports where the EUV penalty
 // crosses zero.
+#include <functional>
 #include <iostream>
 
-#include "core/study.h"
+#include "core/session.h"
 #include "util/table.h"
 
 int main()
 {
     using namespace mpsram;
 
-    core::Variability_study study;
+    const core::Study_session session;
 
     // Worst-case variation factors per option (n-independent).
     const auto wc_le3 =
-        study.worst_case_full(tech::Patterning_option::le3, 64);
+        session.worst_case_full(tech::Patterning_option::le3, 64);
     const auto wc_euv =
-        study.worst_case_full(tech::Patterning_option::euv, 64);
+        session.worst_case_full(tech::Patterning_option::euv, 64);
 
     const sram::Cell_electrical cell =
-        sram::Cell_electrical::n10(study.technology().feol);
+        sram::Cell_electrical::n10(session.technology().feol);
     const double cj = cell.c_junction;
 
     struct Law {
@@ -48,7 +49,7 @@ int main()
             std::vector<std::string> row{
                 law.name, is_le3 ? "LELELE" : "EUV"};
             for (int n : {16, 64, 256, 1024}) {
-                analytic::Td_params p = study.formula_params(n);
+                analytic::Td_params p = session.formula_params(n);
                 p.c_pre = law.c_pre;
                 row.push_back(util::fmt_fixed(
                     analytic::tdp_percent(p, n, wc->variation.r_factor,

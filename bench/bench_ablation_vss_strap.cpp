@@ -8,7 +8,7 @@
 // reports the simulated and formula tdp for SADP.
 #include <iostream>
 
-#include "core/study.h"
+#include "core/session.h"
 #include "util/table.h"
 
 int main()
@@ -38,10 +38,13 @@ int main()
         core::Study_options so;
         so.netlist.vss_strap_interval = v.strap_interval;
         so.netlist.vss_rail_sharing = v.sharing;
-        core::Variability_study study(tech::n10(), so);
+        const core::Study_session session(tech::n10(), so);
 
         const auto row =
-            study.worst_case_tdp(tech::Patterning_option::sadp, n);
+            session
+                .run(core::Query(core::Metric::worst_case_tdp)
+                         .with_case({tech::Patterning_option::sadp, n}))
+                .as<core::Tdp_row>(0);
         table.add_row({v.name, util::fmt_fixed(row.tdp_simulation, 2) + "%",
                        util::fmt_fixed(row.tdp_formula, 2) + "%",
                        util::fmt_fixed(

@@ -60,7 +60,7 @@ Eval evaluate(const Knobs& k)
 
     sram::Array_config cfg;
     cfg.word_lines = 64;
-    cfg.victim_pair = 6;  // mask-A bit line (see core::Variability_study)
+    cfg.victim_pair = 6;  // mask-A bit line (see core::Study_session)
 
     const Targets targets;
     Eval e{};

@@ -12,17 +12,24 @@
 // axis) is appended as the ablation view.
 #include <iostream>
 
-#include "core/study.h"
+#include "core/session.h"
 #include "util/table.h"
 
 int main()
 {
     using namespace mpsram;
 
-    core::Variability_study study;
+    const core::Study_session session;
     mc::Distribution_options mo;
     mo.samples = 20000;
     constexpr int n = 64;
+    const auto mc_tdp = [&](tech::Patterning_option option, double ol) {
+        return session
+            .run(core::Query(core::Metric::mc_tdp)
+                     .with_case({option, n, ol})
+                     .with_mc(mo))
+            .as<mc::Tdp_distribution>(0);
+    };
 
     std::cout << "Table IV: patterning options & tdp sigma values (10x64)\n\n";
 
@@ -46,7 +53,7 @@ int main()
     double sigma_le3_8 = 0.0;
     double sigma_sadp = 0.0;
     for (const auto& r : rows) {
-        const auto dist = study.mc_tdp(r.option, n, mo, r.ol);
+        const auto dist = mc_tdp(r.option, r.ol);
         if (r.ol == 8e-9) sigma_le3_8 = dist.summary.stddev;
         if (r.option == tech::Patterning_option::sadp) {
             sigma_sadp = dist.summary.stddev;
@@ -63,8 +70,8 @@ int main()
     std::cout << "Extended OL sweep (LE3, 10x64):\n";
     util::Table sweep({"3s OL [nm]", "sigma(tdp)"});
     for (double ol_nm = 2.0; ol_nm <= 9.0; ol_nm += 1.0) {
-        const auto dist = study.mc_tdp(tech::Patterning_option::le3, n, mo,
-                                       ol_nm * 1e-9);
+        const auto dist =
+            mc_tdp(tech::Patterning_option::le3, ol_nm * 1e-9);
         sweep.add_row({util::fmt_fixed(ol_nm, 0),
                        util::fmt_fixed(dist.summary.stddev, 3)});
     }

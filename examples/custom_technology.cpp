@@ -1,6 +1,6 @@
 // Custom technology: run the paper's methodology on a node it never saw.
 //
-// The study object is fully parametric in the technology description; this
+// The study session is fully parametric in the technology description; this
 // example sketches a hypothetical "N7-like" node (tighter metal1 pitch,
 // thinner wires, tighter spacer control) and re-asks the paper's question:
 // does the LE3-vs-SADP ranking survive scaling?
@@ -8,7 +8,7 @@
 //   $ ./custom_technology
 #include <iostream>
 
-#include "core/study.h"
+#include "core/session.h"
 #include "util/table.h"
 #include "util/units.h"
 
@@ -40,16 +40,23 @@ int main()
     using namespace mpsram;
 
     for (const bool scaled : {false, true}) {
-        core::Variability_study study(scaled ? n7ish() : tech::n10());
-        std::cout << "=== " << study.technology().name << " ===\n";
+        const core::Study_session session(scaled ? n7ish() : tech::n10());
+        std::cout << "=== " << session.technology().name << " ===\n";
 
         util::Table table(
             {"option", "worst dCbl", "worst dRbl", "sigma(tdp) @10x64"});
         mc::Distribution_options mo;
         mo.samples = 8000;
         for (const auto option : tech::all_patterning_options) {
-            const auto wc = study.worst_case(option);
-            const auto dist = study.mc_tdp(option, 64, mo);
+            const auto wc =
+                session.run(core::Query(core::Metric::worst_case_rc)
+                                .with_case({option, 0}))
+                    .as<core::Worst_case_row>(0);
+            const auto dist =
+                session.run(core::Query(core::Metric::mc_tdp)
+                                .with_case({option, 64})
+                                .with_mc(mo))
+                    .as<mc::Tdp_distribution>(0);
             table.add_row({std::string(tech::to_string(option)),
                            util::fmt_percent(wc.cbl_percent / 100.0, 2),
                            util::fmt_percent(wc.rbl_percent / 100.0, 2),

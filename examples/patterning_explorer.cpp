@@ -6,7 +6,7 @@
 #include <iostream>
 #include <string>
 
-#include "core/study.h"
+#include "core/session.h"
 #include "geom/drc.h"
 #include "util/units.h"
 
@@ -43,20 +43,24 @@ void render(const geom::Wire_array& arr, std::size_t victim, int radius)
 
 int main()
 {
-    core::Variability_study study;
-    const auto& rules = study.technology().metal1.drc;
+    const core::Study_session session;
+    const auto& rules = session.technology().metal1.drc;
     constexpr int n = 64;
 
     for (const auto option : tech::all_patterning_options) {
-        const auto wc = study.worst_case_full(option, n);
-        const auto nominal = study.decomposed_array(option, n);
+        const auto wc = session.worst_case_full(option, n);
+        const auto nominal = session.decomposed_array(option, n);
         const std::size_t victim =
-            sram::find_victim_wires(nominal, study.options().array).bl;
+            sram::find_victim_wires(nominal, session.options().array).bl;
+        // The Table I row at the session's default array length.
+        const auto table1 =
+            session.run(core::Query(core::Metric::worst_case_rc)
+                            .with_case({option, 0}));
 
         std::cout << "=== " << tech::to_string(option)
                   << " worst case ===\n";
         std::cout << "corner: "
-                  << study.worst_case(option).corner << "\n\n";
+                  << table1.as<core::Worst_case_row>(0).corner << "\n\n";
         std::cout << "nominal tracks:\n";
         render(nominal, victim, 2);
         std::cout << "\nworst-case tracks:\n";

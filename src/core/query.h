@@ -105,8 +105,8 @@ std::string_view to_string(Tdp_engine engine);
 std::string_view to_string(Twp_engine engine);
 
 /// A declarative study request: metric + cases + execution policy.
-/// Execution contract (same as the legacy batch APIs): results are
-/// indexed like `cases` and bitwise identical at any thread count.
+/// Execution contract: results are indexed like `cases` and bitwise
+/// identical at any thread count.
 ///
 /// Persistence: a query serializes to canonical JSON and its result is
 /// cacheable under a canonical hash (core/serialize.h).  The hash covers

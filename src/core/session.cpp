@@ -5,6 +5,8 @@
 #include <algorithm>
 #include <cmath>
 #include <limits>
+#include <optional>
+#include <string_view>
 
 #include "analytic/td_formula.h"
 #include "analytic/tw_formula.h"
@@ -372,8 +374,10 @@ Study_session::calibrate_surfaces(Metric metric,
     // `runner` thread count.
     const double nominal =
         metric == Metric::mc_tdp
-            ? nominal_td_spice(word_lines, accuracy, solver, nullptr)
-            : nominal_tw_spice(word_lines, accuracy, solver, nullptr);
+            ? nominal_spice<sram::Read_sim_context>(
+                  word_lines, accuracy, solver, nullptr)
+            : nominal_spice<sram::Write_sim_context>(
+                  word_lines, accuracy, solver, nullptr);
     std::vector<double> metric_vals(points.size(), 0.0);
     std::vector<double> rvar_vals(points.size(), 0.0);
     std::vector<double> cvar_vals(points.size(), 0.0);
@@ -397,10 +401,10 @@ Study_session::calibrate_surfaces(Metric metric,
                 *extractor_, g.nominal, realized, tech_, g.cfg);
             const double t =
                 metric == Metric::mc_tdp
-                    ? simulate_td_on(wires, word_lines, accuracy, solver,
-                                     read_sims[w])
-                    : simulate_tw_on(wires, word_lines, accuracy, solver,
-                                     write_sims[w]);
+                    ? simulate_on(wires, word_lines, accuracy, solver,
+                                  read_sims[w])
+                    : simulate_on(wires, word_lines, accuracy, solver,
+                                  write_sims[w]);
             metric_vals[i] = (t / nominal - 1.0) * 100.0;
             rvar_vals[i] = v.r_factor;
             cvar_vals[i] = v.c_factor;
@@ -480,17 +484,16 @@ double Study_session::simulate_td(const sram::Bitline_electrical& wires,
                                   int word_lines) const
 {
     sram::Read_sim_context sim;
-    return simulate_td_on(
+    return simulate_on(
         wires, word_lines, opts_.read.accuracy,
         sram::resolve_solver_policy(opts_.read.accuracy, opts_.read.solver),
         sim);
 }
 
-double Study_session::simulate_td_on(const sram::Bitline_electrical& wires,
-                                     int word_lines,
-                                     sram::Sim_accuracy accuracy,
-                                     spice::Solver_policy solver,
-                                     sram::Read_sim_context& sim) const
+double Study_session::simulate_on(const sram::Bitline_electrical& wires,
+                                  int word_lines, sram::Sim_accuracy accuracy,
+                                  spice::Solver_policy solver,
+                                  sram::Read_sim_context& sim) const
 {
     sram::Array_config cfg = opts_.array;
     cfg.word_lines = word_lines;
@@ -504,22 +507,10 @@ double Study_session::simulate_td_on(const sram::Bitline_electrical& wires,
     return r.td;
 }
 
-double Study_session::simulate_tw(const sram::Bitline_electrical& wires,
-                                  int word_lines) const
-{
-    sram::Write_sim_context sim;
-    return simulate_tw_on(
-        wires, word_lines, opts_.write.accuracy,
-        sram::resolve_solver_policy(opts_.write.accuracy,
-                                    opts_.write.solver),
-        sim);
-}
-
-double Study_session::simulate_tw_on(const sram::Bitline_electrical& wires,
-                                     int word_lines,
-                                     sram::Sim_accuracy accuracy,
-                                     spice::Solver_policy solver,
-                                     sram::Write_sim_context& sim) const
+double Study_session::simulate_on(const sram::Bitline_electrical& wires,
+                                  int word_lines, sram::Sim_accuracy accuracy,
+                                  spice::Solver_policy solver,
+                                  sram::Write_sim_context& sim) const
 {
     sram::Array_config cfg = opts_.array;
     cfg.word_lines = word_lines;
@@ -533,10 +524,10 @@ double Study_session::simulate_tw_on(const sram::Bitline_electrical& wires,
     return r.tw;
 }
 
-double Study_session::simulate_disturb_on(
-    const sram::Bitline_electrical& wires, int word_lines,
-    sram::Sim_accuracy accuracy, spice::Solver_policy solver,
-    sram::Disturb_sim_context& sim) const
+double Study_session::simulate_on(const sram::Bitline_electrical& wires,
+                                  int word_lines, sram::Sim_accuracy accuracy,
+                                  spice::Solver_policy solver,
+                                  sram::Disturb_sim_context& sim) const
 {
     sram::Array_config cfg = opts_.array;
     cfg.word_lines = word_lines;
@@ -553,27 +544,49 @@ double Study_session::simulate_disturb_on(
     return r.v_bump;
 }
 
-double Study_session::nominal_td_spice(int word_lines,
-                                       sram::Sim_accuracy accuracy,
-                                       spice::Solver_policy solver,
-                                       sram::Read_sim_context* sim) const
+namespace {
+
+// Disk-cache kind of each nominal measurement, picked by the context
+// type.  Part of the on-disk key: renaming one orphans every entry stored
+// under it.
+std::string_view nominal_kind(const sram::Read_sim_context*)
 {
-    const Nominal_key key{word_lines, accuracy, solver};
+    return "nominal_td";
+}
+std::string_view nominal_kind(const sram::Write_sim_context*)
+{
+    return "nominal_tw";
+}
+std::string_view nominal_kind(const sram::Disturb_sim_context*)
+{
+    return "nominal_disturb";
+}
+
+} // namespace
+
+template <class Sim>
+double Study_session::nominal_spice(int word_lines,
+                                    sram::Sim_accuracy accuracy,
+                                    spice::Solver_policy solver,
+                                    Sim* sim) const
+{
+    const std::string_view kind = nominal_kind(sim);
+    const Nominal_key key{kind, word_lines, accuracy, solver};
     {
         const std::lock_guard<std::mutex> lock(nominal_cache_mutex_);
-        const auto it = td_nominal_cache_.find(key);
-        if (it != td_nominal_cache_.end()) return it->second;
+        const auto it = nominal_cache_.find(key);
+        if (it != nominal_cache_.end()) return it->second;
     }
 
     // Memory miss: consult the disk cache before paying for a transient.
-    const std::uint64_t disk_key = nominal_key(fingerprint_, "nominal_td",
-                                               word_lines, accuracy, solver);
+    const std::uint64_t disk_key =
+        nominal_key(fingerprint_, kind, word_lines, accuracy, solver);
     if (cache_) {
-        if (const auto stored = cache_->load("nominal_td", disk_key)) {
-            const double td = util::double_of_json(stored->at("value"));
+        if (const auto stored = cache_->load(kind, disk_key)) {
+            const double value = util::double_of_json(stored->at("value"));
             const std::lock_guard<std::mutex> lock(nominal_cache_mutex_);
-            td_nominal_cache_.emplace(key, td);
-            return td;
+            nominal_cache_.emplace(key, value);
+            return value;
         }
     }
 
@@ -581,105 +594,17 @@ double Study_session::nominal_td_spice(int word_lines,
     // The simulation runs outside the lock: two threads racing on the same
     // key redundantly compute the same deterministic value, which beats
     // serializing every caller behind a SPICE transient.
-    double td = 0.0;
-    if (sim) {
-        td = simulate_td_on(wires, word_lines, accuracy, solver, *sim);
-    } else {
-        sram::Read_sim_context local;
-        td = simulate_td_on(wires, word_lines, accuracy, solver, local);
-    }
+    std::optional<Sim> local;
+    const double value = simulate_on(wires, word_lines, accuracy, solver,
+                                     sim ? *sim : local.emplace());
     if (cache_) {
         util::Json payload;
-        payload.set("value", util::json_of_double(td));
-        cache_->store("nominal_td", disk_key, payload);
+        payload.set("value", util::json_of_double(value));
+        cache_->store(kind, disk_key, payload);
     }
     const std::lock_guard<std::mutex> lock(nominal_cache_mutex_);
-    td_nominal_cache_.emplace(key, td);
-    return td;
-}
-
-double Study_session::nominal_tw_spice(int word_lines,
-                                       sram::Sim_accuracy accuracy,
-                                       spice::Solver_policy solver,
-                                       sram::Write_sim_context* sim) const
-{
-    const Nominal_key key{word_lines, accuracy, solver};
-    {
-        const std::lock_guard<std::mutex> lock(nominal_cache_mutex_);
-        const auto it = tw_nominal_cache_.find(key);
-        if (it != tw_nominal_cache_.end()) return it->second;
-    }
-
-    const std::uint64_t disk_key = nominal_key(fingerprint_, "nominal_tw",
-                                               word_lines, accuracy, solver);
-    if (cache_) {
-        if (const auto stored = cache_->load("nominal_tw", disk_key)) {
-            const double tw = util::double_of_json(stored->at("value"));
-            const std::lock_guard<std::mutex> lock(nominal_cache_mutex_);
-            tw_nominal_cache_.emplace(key, tw);
-            return tw;
-        }
-    }
-
-    const sram::Bitline_electrical wires = nominal_wires(word_lines);
-    // Value-racy-but-deterministic, like the td memo.
-    double tw = 0.0;
-    if (sim) {
-        tw = simulate_tw_on(wires, word_lines, accuracy, solver, *sim);
-    } else {
-        sram::Write_sim_context local;
-        tw = simulate_tw_on(wires, word_lines, accuracy, solver, local);
-    }
-    if (cache_) {
-        util::Json payload;
-        payload.set("value", util::json_of_double(tw));
-        cache_->store("nominal_tw", disk_key, payload);
-    }
-    const std::lock_guard<std::mutex> lock(nominal_cache_mutex_);
-    tw_nominal_cache_.emplace(key, tw);
-    return tw;
-}
-
-double Study_session::nominal_disturb_spice(
-    int word_lines, sram::Sim_accuracy accuracy,
-    spice::Solver_policy solver, sram::Disturb_sim_context* sim) const
-{
-    const Nominal_key key{word_lines, accuracy, solver};
-    {
-        const std::lock_guard<std::mutex> lock(nominal_cache_mutex_);
-        const auto it = disturb_nominal_cache_.find(key);
-        if (it != disturb_nominal_cache_.end()) return it->second;
-    }
-
-    const std::uint64_t disk_key = nominal_key(
-        fingerprint_, "nominal_disturb", word_lines, accuracy, solver);
-    if (cache_) {
-        if (const auto stored = cache_->load("nominal_disturb", disk_key)) {
-            const double bump = util::double_of_json(stored->at("value"));
-            const std::lock_guard<std::mutex> lock(nominal_cache_mutex_);
-            disturb_nominal_cache_.emplace(key, bump);
-            return bump;
-        }
-    }
-
-    const sram::Bitline_electrical wires = nominal_wires(word_lines);
-    double bump = 0.0;
-    if (sim) {
-        bump = simulate_disturb_on(wires, word_lines, accuracy, solver,
-                                   *sim);
-    } else {
-        sram::Disturb_sim_context local;
-        bump = simulate_disturb_on(wires, word_lines, accuracy, solver,
-                                   local);
-    }
-    if (cache_) {
-        util::Json payload;
-        payload.set("value", util::json_of_double(bump));
-        cache_->store("nominal_disturb", disk_key, payload);
-    }
-    const std::lock_guard<std::mutex> lock(nominal_cache_mutex_);
-    disturb_nominal_cache_.emplace(key, bump);
-    return bump;
+    nominal_cache_.emplace(key, value);
+    return value;
 }
 
 analytic::Td_params Study_session::formula_params(int word_lines) const
@@ -726,10 +651,9 @@ struct Metric_evaluators {
         const spice::Solver_policy sol = s.read_solver(q);
         Read_row row;
         row.td_nominal =
-            s.nominal_td_spice(c.word_lines, acc, sol, &scratch.read);
-        row.td_varied =
-            s.simulate_td_on(s.worst_case_wires(c), c.word_lines, acc, sol,
-                             scratch.read);
+            s.nominal_spice(c.word_lines, acc, sol, &scratch.read);
+        row.td_varied = s.simulate_on(s.worst_case_wires(c), c.word_lines,
+                                      acc, sol, scratch.read);
         row.tdp_percent = (row.td_varied / row.td_nominal - 1.0) * 100.0;
         return row;
     }
@@ -739,8 +663,8 @@ struct Metric_evaluators {
     {
         Nominal_td_row row;
         row.td_simulation =
-            s.nominal_td_spice(c.word_lines, s.read_accuracy(q),
-                               s.read_solver(q), &scratch.read);
+            s.nominal_spice(c.word_lines, s.read_accuracy(q),
+                            s.read_solver(q), &scratch.read);
         row.td_formula = analytic::td_lumped(
             s.formula_params(c.word_lines), c.word_lines);
         return row;
@@ -786,7 +710,8 @@ struct Metric_evaluators {
             const sram::Sim_accuracy acc = s.read_accuracy(q);
             const spice::Solver_policy sol = s.read_solver(q);
             const double td_nom =
-                s.nominal_td_spice(c.word_lines, acc, sol, nullptr);
+                s.nominal_spice<sram::Read_sim_context>(c.word_lines, acc,
+                                                        sol, nullptr);
             sram::Read_options ropts = s.opts_.read;
             ropts.accuracy = acc;
             ropts.solver = sol;
@@ -828,10 +753,9 @@ struct Metric_evaluators {
         const spice::Solver_policy sol = s.write_solver(q);
         Write_row row;
         row.tw_nominal =
-            s.nominal_tw_spice(c.word_lines, acc, sol, &scratch.write);
-        row.tw_varied =
-            s.simulate_tw_on(s.worst_case_wires(c), c.word_lines, acc, sol,
-                             scratch.write);
+            s.nominal_spice(c.word_lines, acc, sol, &scratch.write);
+        row.tw_varied = s.simulate_on(s.worst_case_wires(c), c.word_lines,
+                                      acc, sol, scratch.write);
         row.twp_percent = (row.tw_varied / row.tw_nominal - 1.0) * 100.0;
         return row;
     }
@@ -841,8 +765,8 @@ struct Metric_evaluators {
     {
         Nominal_tw_row row;
         row.tw_simulation =
-            s.nominal_tw_spice(c.word_lines, s.write_accuracy(q),
-                               s.write_solver(q), &scratch.write);
+            s.nominal_spice(c.word_lines, s.write_accuracy(q),
+                            s.write_solver(q), &scratch.write);
         row.tw_formula = analytic::tw_lumped(
             s.tw_formula_params(c.word_lines), c.word_lines);
         return row;
@@ -882,7 +806,8 @@ struct Metric_evaluators {
         const sram::Sim_accuracy acc = s.write_accuracy(q);
         const spice::Solver_policy sol = s.write_solver(q);
         const double tw_nom =
-            s.nominal_tw_spice(c.word_lines, acc, sol, nullptr);
+            s.nominal_spice<sram::Write_sim_context>(c.word_lines, acc,
+                                                     sol, nullptr);
         sram::Write_options wopts = s.opts_.write;
         wopts.accuracy = acc;
         wopts.solver = sol;
@@ -915,11 +840,10 @@ struct Metric_evaluators {
         const spice::Solver_policy sol = s.disturb_solver(q);
         Disturb_row row;
         row.v_bump_nominal =
-            s.nominal_disturb_spice(c.word_lines, acc, sol,
-                                    &scratch.disturb);
-        row.v_bump_varied =
-            s.simulate_disturb_on(s.worst_case_wires(c), c.word_lines, acc,
-                                  sol, scratch.disturb);
+            s.nominal_spice(c.word_lines, acc, sol, &scratch.disturb);
+        row.v_bump_varied = s.simulate_on(s.worst_case_wires(c),
+                                          c.word_lines, acc, sol,
+                                          scratch.disturb);
         row.disturb_percent =
             (row.v_bump_varied / row.v_bump_nominal - 1.0) * 100.0;
         return row;

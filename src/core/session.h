@@ -18,10 +18,9 @@
 // determinism contract without touching this class.  The half-select
 // disturb metric is exactly such a registration.
 //
-// Determinism contract (unchanged from the legacy batch APIs): one job
-// per case, each writing only its own row; randomized metrics derive
-// their streams from sample indices; results are bitwise identical at
-// any thread count.
+// Determinism contract: one job per case, each writing only its own
+// row; randomized metrics derive their streams from sample indices;
+// results are bitwise identical at any thread count.
 #ifndef MPSRAM_CORE_SESSION_H
 #define MPSRAM_CORE_SESSION_H
 
@@ -30,6 +29,7 @@
 #include <map>
 #include <memory>
 #include <mutex>
+#include <string_view>
 #include <tuple>
 
 #include "analytic/params.h"
@@ -117,11 +117,6 @@ public:
 
     /// SPICE td with explicit wire electricals (session accuracy policy).
     double simulate_td(const sram::Bitline_electrical& wires,
-                       int word_lines) const;
-
-    /// SPICE tw with explicit wire electricals (throws if the write never
-    /// flips the cell).
-    double simulate_tw(const sram::Bitline_electrical& wires,
                        int word_lines) const;
 
     /// Formula parameters at nominal wires for a given array length.
@@ -260,27 +255,26 @@ private:
     spice::Solver_policy write_solver(const Query& q) const;
     spice::Solver_policy disturb_solver(const Query& q) const;
 
-    double nominal_td_spice(int word_lines, sram::Sim_accuracy accuracy,
-                            spice::Solver_policy solver,
-                            sram::Read_sim_context* sim = nullptr) const;
-    double nominal_tw_spice(int word_lines, sram::Sim_accuracy accuracy,
-                            spice::Solver_policy solver,
-                            sram::Write_sim_context* sim = nullptr) const;
-    double nominal_disturb_spice(int word_lines, sram::Sim_accuracy accuracy,
-                                 spice::Solver_policy solver,
-                                 sram::Disturb_sim_context* sim) const;
-    double simulate_td_on(const sram::Bitline_electrical& wires,
-                          int word_lines, sram::Sim_accuracy accuracy,
-                          spice::Solver_policy solver,
-                          sram::Read_sim_context& sim) const;
-    double simulate_tw_on(const sram::Bitline_electrical& wires,
-                          int word_lines, sram::Sim_accuracy accuracy,
-                          spice::Solver_policy solver,
-                          sram::Write_sim_context& sim) const;
-    double simulate_disturb_on(const sram::Bitline_electrical& wires,
-                               int word_lines, sram::Sim_accuracy accuracy,
-                               spice::Solver_policy solver,
-                               sram::Disturb_sim_context& sim) const;
+    /// The nominal-wire measurement of the operation `Sim` simulates (td
+    /// of a read, tw of a write, the bump of a disturb), memoized in
+    /// nominal_cache_ and on disk.  The transient runs on `sim`, or on a
+    /// local context when null.
+    template <class Sim>
+    double nominal_spice(int word_lines, sram::Sim_accuracy accuracy,
+                         spice::Solver_policy solver, Sim* sim) const;
+    /// One measurement of the operation `sim` simulates (td / tw / bump).
+    double simulate_on(const sram::Bitline_electrical& wires,
+                       int word_lines, sram::Sim_accuracy accuracy,
+                       spice::Solver_policy solver,
+                       sram::Read_sim_context& sim) const;
+    double simulate_on(const sram::Bitline_electrical& wires,
+                       int word_lines, sram::Sim_accuracy accuracy,
+                       spice::Solver_policy solver,
+                       sram::Write_sim_context& sim) const;
+    double simulate_on(const sram::Bitline_electrical& wires,
+                       int word_lines, sram::Sim_accuracy accuracy,
+                       spice::Solver_policy solver,
+                       sram::Disturb_sim_context& sim) const;
 
     /// Worst-corner wire electricals of a case (memoized corner search +
     /// rollup of the realized geometry).
@@ -311,19 +305,19 @@ private:
     std::shared_ptr<Result_cache> cache_;
     std::uint64_t fingerprint_ = 0;
 
-    // The nominal-metric memos (one per metric: td / tw / disturb bump),
-    // keyed on (word_lines, accuracy, resolved solver policy) so queries
-    // overriding either execution policy on one session never cross
-    // results between engines or solver tiers.  Batch evaluators hit them
-    // from pool workers, so all access goes through nominal_cache_mutex_;
-    // the values are racy-but-deterministic (redundant computes beat
-    // serializing behind a transient).
-    using Nominal_key =
-        std::tuple<int, sram::Sim_accuracy, spice::Solver_policy>;
+    // The nominal-measurement memo, keyed on (kind, word_lines, accuracy,
+    // resolved solver policy).  The kind is the disk-cache kind of the
+    // operation ("nominal_td" / "nominal_tw" / "nominal_disturb"; string
+    // literals, so the views never dangle).  The policies are in the key so
+    // queries overriding either one on a session never cross results
+    // between engines or solver tiers.  Batch evaluators hit it from pool
+    // workers, so all access goes through nominal_cache_mutex_; the values
+    // are racy-but-deterministic (redundant computes beat serializing
+    // behind a transient).
+    using Nominal_key = std::tuple<std::string_view, int, sram::Sim_accuracy,
+                                   spice::Solver_policy>;
     mutable std::mutex nominal_cache_mutex_;
-    mutable std::map<Nominal_key, double> td_nominal_cache_;
-    mutable std::map<Nominal_key, double> tw_nominal_cache_;
-    mutable std::map<Nominal_key, double> disturb_nominal_cache_;
+    mutable std::map<Nominal_key, double> nominal_cache_;
     /// Nominal extraction memo: build_metal1_array + decomposition +
     /// roll-up per word-line count, shared by the formula parameters and
     /// every nominal transient (engine-independent, so keyed on n only).

@@ -1,7 +1,9 @@
-// The query layer (PR 5): every legacy Variability_study batch API must
-// be bitwise equal to its Query equivalent at 1/2/8 threads, the disturb
-// metric must run deterministically through the same generic run() path,
-// and Result_table's typed access must round-trip.
+// The query layer: every metric's query must answer bitwise the
+// same at 2 and 8 threads as at 1, each on a fresh Study_session, the
+// disturb metric must run deterministically through the same generic
+// run() path, and Result_table's typed access must round-trip.  The
+// read_td / nominal_td / worst_case_tdp / nominal_tw thread checks live
+// with their sweeps in test_core_sweep and test_core_write_sweep.
 #include "core/query.h"
 
 #include <cmath>
@@ -11,7 +13,6 @@
 #include <gtest/gtest.h>
 
 #include "core/session.h"
-#include "core/study.h"
 #include "util/contracts.h"
 
 namespace {
@@ -24,191 +25,68 @@ using core::Query_case;
 // Cheap-but-real sweep, same sizes as the read/write-sweep tests.
 constexpr int kSizes[] = {8, 16, 24};
 
-// The parity contract asks for bitwise equality at 1/2/8 threads.
+// The determinism contract asks for bitwise equality at 1/2/8 threads.
 constexpr int kThreadCounts[] = {1, 2, 8};
 
-// --- legacy wrapper parity ---------------------------------------------------
-// Each test runs the legacy method and the equivalent query on FRESH
-// objects per thread count (no memo crosstalk) and asserts bitwise
-// equality of every field.
+// --- thread-count invariance -------------------------------------------------
 
-TEST(QueryParity, WorstCaseRcMatchesLegacy)
+/// Runs `at(threads)` at 1, 2 and 8 threads, each on a FRESH session (no
+/// memo crosstalk), and asserts every table equals the serial one bitwise.
+template <class Query_at>
+void expect_thread_invariant(const Query_at& at)
 {
-    for (const int threads : kThreadCounts) {
-        const core::Runner_options runner{threads};
-
-        const core::Variability_study study;
-        const auto legacy = study.worst_case_all_options(-1.0, runner);
-
-        const core::Study_session session;
-        const auto table = session.run(
-            Query(Metric::worst_case_rc)
-                .over_options(tech::all_patterning_options)
-                .on(runner));
-        ASSERT_EQ(table.size(), legacy.size());
-        for (std::size_t i = 0; i < legacy.size(); ++i) {
-            EXPECT_EQ(table.as<core::Worst_case_row>(i), legacy[i])
-                << "threads=" << threads << " option=" << i;
-        }
-
-        // The single-option wrapper, same session (memo hit, same value).
-        const auto single =
-            study.worst_case(tech::all_patterning_options[0], -1.0, runner);
-        EXPECT_EQ(single, legacy[0]);
-    }
-}
-
-TEST(QueryParity, ReadSweepMatchesLegacy)
-{
-    for (const int threads : kThreadCounts) {
-        const core::Runner_options runner{threads};
-
-        const core::Variability_study study;
-        const auto legacy =
-            study.read_sweep(tech::Patterning_option::sadp, kSizes, runner);
-
-        const core::Study_session session;
-        const auto table = session.run(
-            Query(Metric::read_td)
-                .over_word_lines(tech::Patterning_option::sadp, kSizes)
-                .on(runner));
-        ASSERT_EQ(table.size(), legacy.size());
-        for (std::size_t i = 0; i < legacy.size(); ++i) {
-            EXPECT_EQ(table.as<core::Read_row>(i), legacy[i])
-                << "threads=" << threads << " size=" << kSizes[i];
-        }
-    }
-}
-
-TEST(QueryParity, NominalTdBatchMatchesLegacy)
-{
-    for (const int threads : kThreadCounts) {
-        const core::Runner_options runner{threads};
-
-        const core::Variability_study study;
-        const auto legacy = study.nominal_td_batch(kSizes, runner);
-
-        const core::Study_session session;
-        const auto table = session.run(
-            Query(Metric::nominal_td)
-                .over_word_lines(tech::Patterning_option::euv, kSizes)
-                .on(runner));
-        for (std::size_t i = 0; i < legacy.size(); ++i) {
-            EXPECT_EQ(table.as<core::Nominal_td_row>(i), legacy[i])
-                << "threads=" << threads << " size=" << kSizes[i];
-        }
-    }
-}
-
-TEST(QueryParity, WorstCaseTdpBatchMatchesLegacy)
-{
-    const std::vector<core::Variability_study::Tdp_case> cases = {
-        {tech::Patterning_option::euv, 8},
-        {tech::Patterning_option::sadp, 8},
-        {tech::Patterning_option::euv, 16},
-        {tech::Patterning_option::sadp, 16},
-    };
-
-    for (const int threads : kThreadCounts) {
-        const core::Runner_options runner{threads};
-
-        const core::Variability_study study;
-        const auto legacy = study.worst_case_tdp_batch(cases, runner);
-
-        const core::Study_session session;
-        Query query(Metric::worst_case_tdp);
-        query.cases.assign(cases.begin(), cases.end());
-        const auto table = session.run(query.on(runner));
-        for (std::size_t i = 0; i < legacy.size(); ++i) {
-            EXPECT_EQ(table.as<core::Tdp_row>(i), legacy[i])
-                << "threads=" << threads << " case=" << i;
-        }
-    }
-}
-
-TEST(QueryParity, McTdpBatchMatchesLegacy)
-{
-    const std::vector<core::Variability_study::Mc_case> cases = {
-        {tech::Patterning_option::le3, 16, 8e-9},
-        {tech::Patterning_option::euv, 16},
-    };
-    mc::Distribution_options mo;
-    mo.samples = 400;
-    mo.seed = 42;
-
-    for (const int threads : kThreadCounts) {
-        mc::Distribution_options threaded = mo;
-        threaded.runner.threads = threads;
-
-        const core::Variability_study study;
-        const auto legacy = study.mc_tdp_batch(cases, threaded);
-
-        const core::Study_session session;
-        Query query(Metric::mc_tdp);
-        query.cases.assign(cases.begin(), cases.end());
-        const auto table = session.run(query.with_mc(threaded));
-        for (std::size_t i = 0; i < legacy.size(); ++i) {
-            EXPECT_EQ(table.as<mc::Tdp_distribution>(i), legacy[i])
-                << "threads=" << threads << " case=" << i;
-        }
-    }
-}
-
-TEST(QueryParity, WriteSweepAndNominalTwMatchLegacy)
-{
-    for (const int threads : kThreadCounts) {
-        const core::Runner_options runner{threads};
-
-        const core::Variability_study study;
-        const auto legacy_rows =
-            study.write_sweep(tech::Patterning_option::euv, kSizes, runner);
-        const auto legacy_tw = study.nominal_tw_batch(kSizes, runner);
-
-        const core::Study_session session;
-        const auto table = session.run(
-            Query(Metric::write_tw)
-                .over_word_lines(tech::Patterning_option::euv, kSizes)
-                .on(runner));
-        const auto tw_table = session.run(
-            Query(Metric::nominal_tw)
-                .over_word_lines(tech::Patterning_option::euv, kSizes)
-                .on(runner));
-        for (std::size_t i = 0; i < legacy_rows.size(); ++i) {
-            EXPECT_EQ(table.as<core::Write_row>(i), legacy_rows[i])
-                << "threads=" << threads << " size=" << kSizes[i];
-            EXPECT_EQ(tw_table.as<core::Nominal_tw_row>(i).tw_simulation,
-                      legacy_tw[i]);
-            // The registered write formula underestimates SPICE like the
-            // td formula does, but is a real time.
-            EXPECT_GT(tw_table.as<core::Nominal_tw_row>(i).tw_formula, 0.0);
-            EXPECT_LT(tw_table.as<core::Nominal_tw_row>(i).tw_formula,
-                      legacy_tw[i]);
-        }
-    }
-}
-
-TEST(QueryParity, McTwpMatchesLegacySpiceEngine)
-{
-    // Every sample is a SPICE transient: keep the counts small.
-    mc::Distribution_options mo;
-    mo.samples = 16;
-    mo.seed = 7;
-    const Query_case qc{tech::Patterning_option::le3, 8};
-
-    for (const int threads : kThreadCounts) {
-        mc::Distribution_options threaded = mo;
-        threaded.runner.threads = threads;
-
-        const core::Variability_study study;
-        const auto legacy =
-            study.mc_twp(qc.option, qc.word_lines, threaded);
-
-        const core::Study_session session;
-        const auto table = session.run(
-            Query(Metric::mc_twp).with_case(qc).with_mc(threaded));
-        EXPECT_EQ(table.as<mc::Tdp_distribution>(0), legacy)
+    const core::Result_table serial = core::Study_session().run(at(1));
+    ASSERT_FALSE(serial.empty());
+    for (const int threads : {2, 8}) {
+        EXPECT_EQ(core::Study_session().run(at(threads)), serial)
             << "threads=" << threads;
     }
+}
+
+TEST(QueryThreads, WorstCaseRcIdenticalAtAnyThreadCount)
+{
+    expect_thread_invariant([](int threads) {
+        return Query(Metric::worst_case_rc)
+            .over_options(tech::all_patterning_options)
+            .on(core::Runner_options{threads});
+    });
+}
+
+TEST(QueryThreads, McTdpIdenticalAtAnyThreadCount)
+{
+    expect_thread_invariant([](int threads) {
+        mc::Distribution_options mo;
+        mo.samples = 400;
+        mo.seed = 42;
+        mo.runner.threads = threads;
+        return Query(Metric::mc_tdp)
+            .with_case({tech::Patterning_option::le3, 16, 8e-9})
+            .with_case({tech::Patterning_option::euv, 16})
+            .with_mc(mo);
+    });
+}
+
+TEST(QueryThreads, WriteTwIdenticalAtAnyThreadCount)
+{
+    expect_thread_invariant([](int threads) {
+        return Query(Metric::write_tw)
+            .over_word_lines(tech::Patterning_option::euv, kSizes)
+            .on(core::Runner_options{threads});
+    });
+}
+
+TEST(QueryThreads, McTwpSpiceEngineIdenticalAtAnyThreadCount)
+{
+    // Every sample is a SPICE transient: keep the counts small.
+    expect_thread_invariant([](int threads) {
+        mc::Distribution_options mo;
+        mo.samples = 16;
+        mo.seed = 7;
+        mo.runner.threads = threads;
+        return Query(Metric::mc_twp)
+            .with_case({tech::Patterning_option::le3, 8})
+            .with_mc(mo);
+    });
 }
 
 // --- the formula twp engine --------------------------------------------------

@@ -1,10 +1,11 @@
-// The parallel SPICE sweep layer: determinism of the batch Fig. 4 /
-// Table II / Table III APIs at any thread count, the one-enumeration
-// contract of the worst-case memo, and bitwise-identical results under
+// The parallel SPICE sweep layer: determinism of the Fig. 4 / Table II /
+// Table III queries at any thread count, the one-enumeration contract of
+// the worst-case memo, and bitwise-identical results under
 // netlist/workspace reuse.
-#include "core/study.h"
+#include "core/session.h"
 
 #include <utility>
+#include <vector>
 
 #include <gtest/gtest.h>
 
@@ -18,11 +19,16 @@
 namespace {
 
 using namespace mpsram;
+using core::Metric;
+using core::Query;
 
 // Cheap-but-real sweep: EUV (3 corners) and SADP (9 corners) keep the
 // corner searches small while the transients still exercise the full
 // netlist/workspace reuse path.
 constexpr int kSizes[] = {8, 16, 24};
+
+// Parallel thread counts checked against the serial run.
+constexpr int kThreadCounts[] = {2, 4, 8};
 
 struct Sim_fixture {
     tech::Technology t = tech::n10();
@@ -40,40 +46,43 @@ struct Sim_fixture {
     }
 };
 
+Query read_sweep(tech::Patterning_option option, int threads)
+{
+    return Query(Metric::read_td)
+        .over_word_lines(option, kSizes)
+        .on(core::Runner_options{threads});
+}
+
 TEST(ReadSweep, IdenticalAtAnyThreadCount)
 {
-    // Fresh study per thread count: no memo crosstalk between runs.
-    const core::Variability_study serial_study;
-    const auto serial = serial_study.read_sweep(
-        tech::Patterning_option::sadp, kSizes, core::Runner_options{1});
+    // Fresh session per thread count: no memo crosstalk between runs.
+    const auto serial = core::Study_session().run(
+        read_sweep(tech::Patterning_option::sadp, 1));
     ASSERT_EQ(serial.size(), std::size(kSizes));
 
-    for (const int threads : {2, 4}) {
-        const core::Variability_study study;
-        const auto parallel = study.read_sweep(
-            tech::Patterning_option::sadp, kSizes,
-            core::Runner_options{threads});
-        ASSERT_EQ(parallel.size(), serial.size());
-        for (std::size_t i = 0; i < serial.size(); ++i) {
-            EXPECT_EQ(serial[i].td_nominal, parallel[i].td_nominal)
-                << "threads=" << threads << " size=" << kSizes[i];
-            EXPECT_EQ(serial[i].td_varied, parallel[i].td_varied);
-            EXPECT_EQ(serial[i].tdp_percent, parallel[i].tdp_percent);
-        }
+    for (const int threads : kThreadCounts) {
+        EXPECT_EQ(core::Study_session().run(
+                      read_sweep(tech::Patterning_option::sadp, threads)),
+                  serial)
+            << "threads=" << threads;
     }
 }
 
 TEST(ReadSweep, MatchesSingleCalls)
 {
-    const core::Variability_study batch_study;
-    const auto rows = batch_study.read_sweep(tech::Patterning_option::euv,
-                                             kSizes,
-                                             core::Runner_options{4});
+    const core::Study_session batch_session;
+    const auto rows =
+        batch_session.run(read_sweep(tech::Patterning_option::euv, 4))
+            .column<core::Read_row>();
 
-    const core::Variability_study single_study;
+    const core::Study_session single_session;
     for (std::size_t i = 0; i < rows.size(); ++i) {
-        const auto single = single_study.worst_case_read(
-            tech::Patterning_option::euv, kSizes[i]);
+        const auto single =
+            single_session
+                .run(Query(Metric::read_td)
+                         .with_case({tech::Patterning_option::euv,
+                                     kSizes[i]}))
+                .as<core::Read_row>(0);
         EXPECT_EQ(rows[i].td_nominal, single.td_nominal);
         EXPECT_EQ(rows[i].td_varied, single.td_varied);
         EXPECT_EQ(rows[i].tdp_percent, single.tdp_percent);
@@ -82,88 +91,82 @@ TEST(ReadSweep, MatchesSingleCalls)
 
 TEST(NominalTdBatch, IdenticalAtAnyThreadCountAndMatchesSingles)
 {
-    const core::Variability_study serial_study;
-    const auto serial =
-        serial_study.nominal_td_batch(kSizes, core::Runner_options{1});
+    const auto batch = [](int threads) {
+        return Query(Metric::nominal_td)
+            .over_word_lines(tech::Patterning_option::euv, kSizes)
+            .on(core::Runner_options{threads});
+    };
+    const auto serial = core::Study_session().run(batch(1));
     ASSERT_EQ(serial.size(), std::size(kSizes));
 
-    for (const int threads : {2, 4}) {
-        const core::Variability_study study;
-        const auto parallel =
-            study.nominal_td_batch(kSizes, core::Runner_options{threads});
-        for (std::size_t i = 0; i < serial.size(); ++i) {
-            EXPECT_EQ(serial[i].td_simulation, parallel[i].td_simulation)
-                << "threads=" << threads << " size=" << kSizes[i];
-            EXPECT_EQ(serial[i].td_formula, parallel[i].td_formula);
-        }
+    for (const int threads : kThreadCounts) {
+        EXPECT_EQ(core::Study_session().run(batch(threads)), serial)
+            << "threads=" << threads;
     }
 
-    const core::Variability_study single_study;
+    const core::Study_session single_session;
     for (std::size_t i = 0; i < serial.size(); ++i) {
-        const auto single = single_study.nominal_td(kSizes[i]);
-        EXPECT_EQ(serial[i].td_simulation, single.td_simulation);
-        EXPECT_EQ(serial[i].td_formula, single.td_formula);
+        const auto single =
+            single_session
+                .run(Query(Metric::nominal_td)
+                         .with_case({tech::Patterning_option::euv,
+                                     kSizes[i]}))
+                .as<core::Nominal_td_row>(0);
+        EXPECT_EQ(serial.as<core::Nominal_td_row>(i), single);
     }
 }
 
 TEST(WorstCaseTdpBatch, IdenticalAtAnyThreadCount)
 {
-    const std::vector<core::Variability_study::Tdp_case> cases = {
-        {tech::Patterning_option::euv, 8},
-        {tech::Patterning_option::sadp, 8},
-        {tech::Patterning_option::euv, 16},
-        {tech::Patterning_option::sadp, 16},
+    const auto batch = [](int threads) {
+        return Query(Metric::worst_case_tdp)
+            .with_case({tech::Patterning_option::euv, 8})
+            .with_case({tech::Patterning_option::sadp, 8})
+            .with_case({tech::Patterning_option::euv, 16})
+            .with_case({tech::Patterning_option::sadp, 16})
+            .on(core::Runner_options{threads});
     };
+    const auto serial = core::Study_session().run(batch(1));
+    ASSERT_EQ(serial.size(), 4u);
 
-    const core::Variability_study serial_study;
-    const auto serial =
-        serial_study.worst_case_tdp_batch(cases, core::Runner_options{1});
-    ASSERT_EQ(serial.size(), cases.size());
-
-    for (const int threads : {2, 4}) {
-        const core::Variability_study study;
-        const auto parallel =
-            study.worst_case_tdp_batch(cases,
-                                       core::Runner_options{threads});
-        for (std::size_t i = 0; i < serial.size(); ++i) {
-            EXPECT_EQ(serial[i].tdp_simulation, parallel[i].tdp_simulation)
-                << "threads=" << threads << " case=" << i;
-            EXPECT_EQ(serial[i].tdp_formula, parallel[i].tdp_formula);
-        }
+    for (const int threads : kThreadCounts) {
+        EXPECT_EQ(core::Study_session().run(batch(threads)), serial)
+            << "threads=" << threads;
     }
 }
 
 TEST(WorstCaseMemo, OneEnumerationPerKey)
 {
-    const core::Variability_study study;
-    EXPECT_EQ(study.corner_search_count(), 0u);
+    const core::Study_session session;
+    EXPECT_EQ(session.corner_search_count(), 0u);
 
     // worst_case_tdp needs the corner result twice (simulated read at the
     // worst geometry + formula factors): one enumeration, not two.
-    study.worst_case_tdp(tech::Patterning_option::euv, 8);
-    EXPECT_EQ(study.corner_search_count(), 1u);
+    const core::Query_case euv8{tech::Patterning_option::euv, 8};
+    session.run(Query(Metric::worst_case_tdp).with_case(euv8));
+    EXPECT_EQ(session.corner_search_count(), 1u);
 
-    // Repeats and same-key sibling APIs hit the memo.
-    study.worst_case_tdp(tech::Patterning_option::euv, 8);
-    study.worst_case_read(tech::Patterning_option::euv, 8);
-    study.worst_case_full(tech::Patterning_option::euv, 8);
-    EXPECT_EQ(study.corner_search_count(), 1u);
+    // Repeats and same-key sibling metrics hit the memo.
+    session.run(Query(Metric::worst_case_tdp).with_case(euv8));
+    session.run(Query(Metric::read_td).with_case(euv8));
+    session.worst_case_full(tech::Patterning_option::euv, 8);
+    EXPECT_EQ(session.corner_search_count(), 1u);
 
     // A new word-line count is a new key.
-    study.worst_case_full(tech::Patterning_option::euv, 16);
-    EXPECT_EQ(study.corner_search_count(), 2u);
+    session.worst_case_full(tech::Patterning_option::euv, 16);
+    EXPECT_EQ(session.corner_search_count(), 2u);
 
     // All "technology default" overlay spellings share one slot; a real
     // budget is its own key.
-    study.worst_case_full(tech::Patterning_option::euv, 16, -7.0);
-    EXPECT_EQ(study.corner_search_count(), 2u);
-    study.worst_case_full(tech::Patterning_option::euv, 16, 3e-9);
-    EXPECT_EQ(study.corner_search_count(), 3u);
+    session.worst_case_full(tech::Patterning_option::euv, 16, -7.0);
+    EXPECT_EQ(session.corner_search_count(), 2u);
+    session.worst_case_full(tech::Patterning_option::euv, 16, 3e-9);
+    EXPECT_EQ(session.corner_search_count(), 3u);
 }
 
 TEST(WorstCaseMemo, ConcurrentCallersShareOneEnumeration)
 {
-    const core::Variability_study study;
+    const core::Study_session session;
 
     constexpr std::size_t jobs = 8;
     std::vector<mc::Worst_case_result> results(jobs);
@@ -171,11 +174,11 @@ TEST(WorstCaseMemo, ConcurrentCallersShareOneEnumeration)
         jobs,
         [&](std::size_t i, const core::Run_context&) {
             results[i] =
-                study.worst_case_full(tech::Patterning_option::sadp, 8);
+                session.worst_case_full(tech::Patterning_option::sadp, 8);
         },
         core::Runner_options{4});
 
-    EXPECT_EQ(study.corner_search_count(), 1u);
+    EXPECT_EQ(session.corner_search_count(), 1u);
     for (std::size_t i = 1; i < jobs; ++i) {
         EXPECT_EQ(results[i].corner.sample, results[0].corner.sample);
         EXPECT_EQ(results[i].corner.metric, results[0].corner.metric);
@@ -207,13 +210,15 @@ TEST(SimAccuracy, AdaptiveMatchesReferenceAcrossFig4Sweep)
     constexpr int fig4_sizes[] = {16, 64, 256};
 
     for (const auto option : tech::all_patterning_options) {
-        const core::Variability_study reference(
+        const core::Study_session reference(
             tech::n10(), opts_with(sram::Sim_accuracy::reference));
-        const core::Variability_study fast(
+        const core::Study_session fast(
             tech::n10(), opts_with(sram::Sim_accuracy::fast));
 
-        const auto ref_rows = reference.read_sweep(option, fig4_sizes);
-        const auto fast_rows = fast.read_sweep(option, fig4_sizes);
+        const Query sweep =
+            Query(Metric::read_td).over_word_lines(option, fig4_sizes);
+        const auto ref_rows = reference.run(sweep).column<core::Read_row>();
+        const auto fast_rows = fast.run(sweep).column<core::Read_row>();
         ASSERT_EQ(ref_rows.size(), fast_rows.size());
 
         for (std::size_t i = 0; i < ref_rows.size(); ++i) {
@@ -236,14 +241,17 @@ TEST(SimAccuracy, AdaptiveMatchesReferenceTdBatchesAndFinals)
 {
     constexpr int sizes[] = {16, 64};
 
-    const core::Variability_study reference(
+    const core::Study_session reference(
         tech::n10(), opts_with(sram::Sim_accuracy::reference));
-    const core::Variability_study fast(
+    const core::Study_session fast(
         tech::n10(), opts_with(sram::Sim_accuracy::fast));
 
     // Table II rows.
-    const auto ref_td = reference.nominal_td_batch(sizes);
-    const auto fast_td = fast.nominal_td_batch(sizes);
+    const Query table2 = Query(Metric::nominal_td)
+                             .over_word_lines(tech::Patterning_option::euv,
+                                              sizes);
+    const auto ref_td = reference.run(table2).column<core::Nominal_td_row>();
+    const auto fast_td = fast.run(table2).column<core::Nominal_td_row>();
     for (std::size_t i = 0; i < ref_td.size(); ++i) {
         EXPECT_LT(util::rel_diff(ref_td[i].td_simulation,
                                  fast_td[i].td_simulation),
@@ -253,13 +261,12 @@ TEST(SimAccuracy, AdaptiveMatchesReferenceTdBatchesAndFinals)
     }
 
     // Table III rows.
-    const std::vector<core::Variability_study::Tdp_case> cases = {
-        {tech::Patterning_option::le3, 16},
-        {tech::Patterning_option::euv, 64},
-    };
-    const auto ref_tdp = reference.worst_case_tdp_batch(cases);
-    const auto fast_tdp = fast.worst_case_tdp_batch(cases);
-    for (std::size_t i = 0; i < cases.size(); ++i) {
+    const Query table3 = Query(Metric::worst_case_tdp)
+                             .with_case({tech::Patterning_option::le3, 16})
+                             .with_case({tech::Patterning_option::euv, 64});
+    const auto ref_tdp = reference.run(table3).column<core::Tdp_row>();
+    const auto fast_tdp = fast.run(table3).column<core::Tdp_row>();
+    for (std::size_t i = 0; i < table3.cases.size(); ++i) {
         EXPECT_NEAR(ref_tdp[i].tdp_simulation, fast_tdp[i].tdp_simulation,
                     0.05);
         EXPECT_EQ(ref_tdp[i].tdp_formula, fast_tdp[i].tdp_formula);
@@ -312,44 +319,26 @@ TEST(SimAccuracy, AdaptiveMatchesReferenceTdBatchesAndFinals)
 TEST(SimAccuracy, AdaptiveBatchesBitwiseIdenticalAtAnyThreadCount)
 {
     // The determinism contract under the production (adaptive) policy:
-    // step selection is input-deterministic, so the batch APIs stay
+    // step selection is input-deterministic, so the batch queries stay
     // bitwise identical at any thread count.
-    const core::Variability_study serial_study(
-        tech::n10(), opts_with(sram::Sim_accuracy::fast));
-    const auto serial = serial_study.read_sweep(
-        tech::Patterning_option::le3, kSizes, core::Runner_options{1});
-
-    for (const int threads : {2, 4}) {
-        const core::Variability_study study(
-            tech::n10(), opts_with(sram::Sim_accuracy::fast));
-        const auto parallel =
-            study.read_sweep(tech::Patterning_option::le3, kSizes,
-                             core::Runner_options{threads});
-        ASSERT_EQ(parallel.size(), serial.size());
-        for (std::size_t i = 0; i < serial.size(); ++i) {
-            EXPECT_EQ(serial[i].td_nominal, parallel[i].td_nominal)
-                << "threads=" << threads << " size=" << kSizes[i];
-            EXPECT_EQ(serial[i].td_varied, parallel[i].td_varied);
-            EXPECT_EQ(serial[i].tdp_percent, parallel[i].tdp_percent);
-        }
-    }
-
-    const std::vector<core::Variability_study::Tdp_case> cases = {
-        {tech::Patterning_option::euv, 8},
-        {tech::Patterning_option::sadp, 16},
+    const auto fast_run = [](const Query& query) {
+        return core::Study_session(tech::n10(),
+                                   opts_with(sram::Sim_accuracy::fast))
+            .run(query);
     };
-    const core::Variability_study serial_tdp(
-        tech::n10(), opts_with(sram::Sim_accuracy::fast));
-    const auto tdp1 =
-        serial_tdp.worst_case_tdp_batch(cases, core::Runner_options{1});
-    const core::Variability_study parallel_tdp(
-        tech::n10(), opts_with(sram::Sim_accuracy::fast));
-    const auto tdp4 =
-        parallel_tdp.worst_case_tdp_batch(cases, core::Runner_options{4});
-    for (std::size_t i = 0; i < cases.size(); ++i) {
-        EXPECT_EQ(tdp1[i].tdp_simulation, tdp4[i].tdp_simulation);
-        EXPECT_EQ(tdp1[i].tdp_formula, tdp4[i].tdp_formula);
+    const auto serial = fast_run(read_sweep(tech::Patterning_option::le3, 1));
+    for (const int threads : {2, 4}) {
+        EXPECT_EQ(fast_run(read_sweep(tech::Patterning_option::le3, threads)),
+                  serial)
+            << "threads=" << threads;
     }
+
+    Query tdp = Query(Metric::worst_case_tdp)
+                    .with_case({tech::Patterning_option::euv, 8})
+                    .with_case({tech::Patterning_option::sadp, 16});
+    const auto tdp1 = fast_run(tdp.on(core::Runner_options{1}));
+    const auto tdp4 = fast_run(tdp.on(core::Runner_options{4}));
+    EXPECT_EQ(tdp1, tdp4);
 }
 
 // --- netlist/workspace reuse -------------------------------------------------

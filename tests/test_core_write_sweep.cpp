@@ -1,8 +1,8 @@
 // The column-simulation write layer (PR 4): thread determinism of the
-// write batch APIs, Write_sim_context reuse, the shared worst-case memo
+// write queries, Write_sim_context reuse, the shared worst-case memo
 // under concurrent write callers, and the metric-functor generalization of
 // the mc:: code against the original read paths.
-#include "core/study.h"
+#include "core/session.h"
 
 #include <cmath>
 #include <limits>
@@ -21,6 +21,8 @@
 namespace {
 
 using namespace mpsram;
+using core::Metric;
+using core::Query;
 
 // Cheap-but-real sweep, same sizes as the read-sweep tests.
 constexpr int kSizes[] = {8, 16, 24};
@@ -44,40 +46,43 @@ struct Sim_fixture {
     }
 };
 
+Query write_sweep(tech::Patterning_option option, int threads)
+{
+    return Query(Metric::write_tw)
+        .over_word_lines(option, kSizes)
+        .on(core::Runner_options{threads});
+}
+
 TEST(WriteSweep, IdenticalAtAnyThreadCount)
 {
-    // Fresh study per thread count: no memo crosstalk between runs.
-    const core::Variability_study serial_study;
-    const auto serial = serial_study.write_sweep(
-        tech::Patterning_option::sadp, kSizes, core::Runner_options{1});
+    // Fresh session per thread count: no memo crosstalk between runs.
+    const auto serial = core::Study_session().run(
+        write_sweep(tech::Patterning_option::sadp, 1));
     ASSERT_EQ(serial.size(), std::size(kSizes));
 
     for (const int threads : kThreadCounts) {
-        const core::Variability_study study;
-        const auto parallel = study.write_sweep(
-            tech::Patterning_option::sadp, kSizes,
-            core::Runner_options{threads});
-        ASSERT_EQ(parallel.size(), serial.size());
-        for (std::size_t i = 0; i < serial.size(); ++i) {
-            EXPECT_EQ(serial[i].tw_nominal, parallel[i].tw_nominal)
-                << "threads=" << threads << " size=" << kSizes[i];
-            EXPECT_EQ(serial[i].tw_varied, parallel[i].tw_varied);
-            EXPECT_EQ(serial[i].twp_percent, parallel[i].twp_percent);
-        }
+        EXPECT_EQ(core::Study_session().run(
+                      write_sweep(tech::Patterning_option::sadp, threads)),
+                  serial)
+            << "threads=" << threads;
     }
 }
 
 TEST(WriteSweep, MatchesSingleCalls)
 {
-    const core::Variability_study batch_study;
-    const auto rows = batch_study.write_sweep(tech::Patterning_option::euv,
-                                              kSizes,
-                                              core::Runner_options{8});
+    const core::Study_session batch_session;
+    const auto rows =
+        batch_session.run(write_sweep(tech::Patterning_option::euv, 8))
+            .column<core::Write_row>();
 
-    const core::Variability_study single_study;
+    const core::Study_session single_session;
     for (std::size_t i = 0; i < rows.size(); ++i) {
-        const auto single = single_study.worst_case_tw(
-            tech::Patterning_option::euv, kSizes[i]);
+        const auto single =
+            single_session
+                .run(Query(Metric::write_tw)
+                         .with_case({tech::Patterning_option::euv,
+                                     kSizes[i]}))
+                .as<core::Write_row>(0);
         EXPECT_EQ(rows[i].tw_nominal, single.tw_nominal);
         EXPECT_EQ(rows[i].tw_varied, single.tw_varied);
         EXPECT_EQ(rows[i].twp_percent, single.twp_percent);
@@ -87,27 +92,36 @@ TEST(WriteSweep, MatchesSingleCalls)
 
 TEST(NominalTwBatch, IdenticalAtAnyThreadCountAndMatchesSingles)
 {
-    const core::Variability_study serial_study;
-    const auto serial =
-        serial_study.nominal_tw_batch(kSizes, core::Runner_options{1});
+    const auto batch = [](int threads) {
+        return Query(Metric::nominal_tw)
+            .over_word_lines(tech::Patterning_option::euv, kSizes)
+            .on(core::Runner_options{threads});
+    };
+    const auto serial = core::Study_session().run(batch(1));
     ASSERT_EQ(serial.size(), std::size(kSizes));
 
     for (const int threads : kThreadCounts) {
-        const core::Variability_study study;
-        const auto parallel =
-            study.nominal_tw_batch(kSizes, core::Runner_options{threads});
-        for (std::size_t i = 0; i < serial.size(); ++i) {
-            EXPECT_EQ(serial[i], parallel[i])
-                << "threads=" << threads << " size=" << kSizes[i];
-        }
+        EXPECT_EQ(core::Study_session().run(batch(threads)), serial)
+            << "threads=" << threads;
     }
 
-    const core::Variability_study single_study;
-    for (std::size_t i = 0; i < serial.size(); ++i) {
-        EXPECT_EQ(serial[i], single_study.nominal_tw(kSizes[i]));
+    const core::Study_session single_session;
+    const auto rows = serial.column<core::Nominal_tw_row>();
+    for (std::size_t i = 0; i < rows.size(); ++i) {
+        const auto single =
+            single_session
+                .run(Query(Metric::nominal_tw)
+                         .with_case({tech::Patterning_option::euv,
+                                     kSizes[i]}))
+                .as<core::Nominal_tw_row>(0);
+        EXPECT_EQ(rows[i].tw_simulation, single.tw_simulation);
+        // The registered write formula underestimates SPICE like the td
+        // formula does, but is a real time.
+        EXPECT_GT(rows[i].tw_formula, 0.0);
+        EXPECT_LT(rows[i].tw_formula, rows[i].tw_simulation);
     }
     // tw grows with the array (the driver discharges a longer ladder).
-    EXPECT_GT(serial[2], serial[0]);
+    EXPECT_GT(rows[2].tw_simulation, rows[0].tw_simulation);
 }
 
 void expect_bitwise_equal(const mc::Tdp_distribution& a,
@@ -127,32 +141,37 @@ TEST(McTwpBatch, IdenticalAtAnyThreadCountAndMatchesSingles)
     mo.samples = 24;
     mo.seed = 7;
 
-    const std::vector<core::Variability_study::Mc_case> cases = {
-        {tech::Patterning_option::le3, 8, -1.0},
-        {tech::Patterning_option::euv, 8, -1.0},
+    const auto batch = [&mo](int threads) {
+        mc::Distribution_options threaded = mo;
+        threaded.runner.threads = threads;
+        return Query(Metric::mc_twp)
+            .with_case({tech::Patterning_option::le3, 8, -1.0})
+            .with_case({tech::Patterning_option::euv, 8, -1.0})
+            .with_mc(threaded);
     };
-
-    mc::Distribution_options serial_mo = mo;
-    serial_mo.runner.threads = 1;
-    const core::Variability_study serial_study;
-    const auto serial = serial_study.mc_twp_batch(cases, serial_mo);
-    ASSERT_EQ(serial.size(), cases.size());
+    const Query serial_query = batch(1);
+    const auto serial = core::Study_session()
+                            .run(serial_query)
+                            .column<mc::Tdp_distribution>();
+    ASSERT_EQ(serial.size(), serial_query.cases.size());
 
     for (const int threads : kThreadCounts) {
-        mc::Distribution_options par_mo = mo;
-        par_mo.runner.threads = threads;
-        const core::Variability_study study;
-        const auto parallel = study.mc_twp_batch(cases, par_mo);
-        for (std::size_t i = 0; i < cases.size(); ++i) {
+        const auto parallel = core::Study_session()
+                                  .run(batch(threads))
+                                  .column<mc::Tdp_distribution>();
+        for (std::size_t i = 0; i < serial.size(); ++i) {
             expect_bitwise_equal(serial[i], parallel[i]);
         }
     }
 
-    const core::Variability_study single_study;
-    for (std::size_t i = 0; i < cases.size(); ++i) {
+    const core::Study_session single_session;
+    for (std::size_t i = 0; i < serial.size(); ++i) {
         const auto single =
-            single_study.mc_twp(cases[i].option, cases[i].word_lines,
-                                serial_mo, cases[i].ol_3sigma);
+            single_session
+                .run(Query(Metric::mc_twp)
+                         .with_case(serial_query.cases[i])
+                         .with_mc(serial_query.mc))
+                .as<mc::Tdp_distribution>(0);
         expect_bitwise_equal(serial[i], single);
     }
 
@@ -208,21 +227,26 @@ TEST(WriteSimContext, ReuseMatchesFreshBuilds)
 
 TEST(WorstCaseMemo, SingleEnumerationUnderConcurrentTwCallers)
 {
-    const core::Variability_study study;
-    EXPECT_EQ(study.corner_search_count(), 0u);
+    const core::Study_session session;
+    EXPECT_EQ(session.corner_search_count(), 0u);
 
-    // Eight concurrent worst_case_tw callers of one (option, n) key: the
+    const auto run_single = [&session](Metric metric, int word_lines) {
+        return session.run(Query(metric).with_case(
+            {tech::Patterning_option::sadp, word_lines}));
+    };
+
+    // Eight concurrent write_tw callers of one (option, n) key: the
     // promise-backed memo runs exactly one corner enumeration.
     constexpr std::size_t jobs = 8;
-    std::vector<core::Variability_study::Write_row> results(jobs);
+    std::vector<core::Write_row> results(jobs);
     core::run_indexed(
         jobs,
         [&](std::size_t i, const core::Run_context&) {
             results[i] =
-                study.worst_case_tw(tech::Patterning_option::sadp, 8);
+                run_single(Metric::write_tw, 8).as<core::Write_row>(0);
         },
         core::Runner_options{8});
-    EXPECT_EQ(study.corner_search_count(), 1u);
+    EXPECT_EQ(session.corner_search_count(), 1u);
     for (std::size_t i = 1; i < jobs; ++i) {
         EXPECT_EQ(results[i].tw_nominal, results[0].tw_nominal);
         EXPECT_EQ(results[i].tw_varied, results[0].tw_varied);
@@ -230,13 +254,13 @@ TEST(WorstCaseMemo, SingleEnumerationUnderConcurrentTwCallers)
     }
 
     // The read paths share the same key: no second enumeration.
-    study.worst_case_tdp(tech::Patterning_option::sadp, 8);
-    study.worst_case_read(tech::Patterning_option::sadp, 8);
-    EXPECT_EQ(study.corner_search_count(), 1u);
+    run_single(Metric::worst_case_tdp, 8);
+    run_single(Metric::read_td, 8);
+    EXPECT_EQ(session.corner_search_count(), 1u);
 
     // A new word-line count is a new key for the write path, too.
-    study.worst_case_tw(tech::Patterning_option::sadp, 16);
-    EXPECT_EQ(study.corner_search_count(), 2u);
+    run_single(Metric::write_tw, 16);
+    EXPECT_EQ(session.corner_search_count(), 2u);
 }
 
 // --- metric-functor regressions on the original read paths -------------------
@@ -355,13 +379,15 @@ TEST(WriteAccuracy, AdaptiveMatchesReferenceAcrossWriteSweep)
     // patterning option.  (bench_ext_write_impact enforces the same gate
     // on the full n up to 256 sweep on every run.)
     for (const auto option : tech::all_patterning_options) {
-        const core::Variability_study reference(
+        const core::Study_session reference(
             tech::n10(), opts_with(sram::Sim_accuracy::reference));
-        const core::Variability_study fast(
+        const core::Study_session fast(
             tech::n10(), opts_with(sram::Sim_accuracy::fast));
 
-        const auto ref_rows = reference.write_sweep(option, kSizes);
-        const auto fast_rows = fast.write_sweep(option, kSizes);
+        const auto ref_rows =
+            reference.run(write_sweep(option, 1)).column<core::Write_row>();
+        const auto fast_rows =
+            fast.run(write_sweep(option, 1)).column<core::Write_row>();
         ASSERT_EQ(ref_rows.size(), fast_rows.size());
 
         for (std::size_t i = 0; i < ref_rows.size(); ++i) {

@@ -1,6 +1,6 @@
 // Determinism of the parallel execution engine at the analysis level: the
-// Monte-Carlo distribution, the corner search, and the study batch APIs
-// must return bitwise-identical results at any thread count.
+// Monte-Carlo distribution, the corner search, and the study's batch
+// queries must return bitwise-identical results at any thread count.
 #include "mc/distribution.h"
 #include "mc/worst_case.h"
 
@@ -8,7 +8,7 @@
 
 #include "analytic/params.h"
 #include "core/runner.h"
-#include "core/study.h"
+#include "core/session.h"
 #include "pattern/engine.h"
 #include "sram/bitline_model.h"
 #include "tech/technology.h"
@@ -17,6 +17,8 @@
 namespace {
 
 using namespace mpsram;
+using core::Metric;
+using core::Query;
 
 struct Fixture {
     tech::Technology t = tech::n10();
@@ -122,40 +124,48 @@ TEST(ParallelWorstCase, IdenticalAtAnyThreadCount)
 
 TEST(StudyBatch, McTdpBatchMatchesSingleCalls)
 {
-    const core::Variability_study study;
+    const core::Study_session session;
     mc::Distribution_options mo;
     mo.samples = 300;
     mo.runner.threads = 4;
 
-    const std::vector<core::Variability_study::Mc_case> cases = {
-        {tech::Patterning_option::le3, 64, 8e-9},
-        {tech::Patterning_option::sadp, 64, -1.0},
-        {tech::Patterning_option::euv, 32, -1.0},
-    };
+    Query batch(Metric::mc_tdp);
+    batch.with_case({tech::Patterning_option::le3, 64, 8e-9})
+        .with_case({tech::Patterning_option::sadp, 64, -1.0})
+        .with_case({tech::Patterning_option::euv, 32, -1.0})
+        .with_mc(mo);
+    const auto rows = session.run(batch).column<mc::Tdp_distribution>();
+    ASSERT_EQ(rows.size(), batch.cases.size());
 
-    const auto batch = study.mc_tdp_batch(cases, mo);
-    ASSERT_EQ(batch.size(), cases.size());
-
-    for (std::size_t i = 0; i < cases.size(); ++i) {
+    for (std::size_t i = 0; i < batch.cases.size(); ++i) {
         mc::Distribution_options serial = mo;
         serial.runner.threads = 1;
-        const auto single = study.mc_tdp(cases[i].option,
-                                         cases[i].word_lines, serial,
-                                         cases[i].ol_3sigma);
-        expect_bitwise_equal(batch[i], single);
+        const auto single =
+            session
+                .run(Query(Metric::mc_tdp)
+                         .with_case(batch.cases[i])
+                         .with_mc(serial))
+                .as<mc::Tdp_distribution>(0);
+        expect_bitwise_equal(rows[i], single);
     }
 }
 
 TEST(StudyBatch, WorstCaseAllOptionsMatchesPerOption)
 {
-    const core::Variability_study study;
-    // Canonical parameter order since PR 5: value axes first, runner last.
-    const auto rows =
-        study.worst_case_all_options(-1.0, core::Runner_options{4});
+    const core::Study_session session;
+    const auto rows = session
+                          .run(Query(Metric::worst_case_rc)
+                                   .over_options(tech::all_patterning_options)
+                                   .on(core::Runner_options{4}))
+                          .column<core::Worst_case_row>();
     ASSERT_EQ(rows.size(), tech::all_patterning_options.size());
 
     for (std::size_t i = 0; i < rows.size(); ++i) {
-        const auto single = study.worst_case(tech::all_patterning_options[i]);
+        const auto single =
+            session
+                .run(Query(Metric::worst_case_rc)
+                         .with_case({tech::all_patterning_options[i], 0}))
+                .as<core::Worst_case_row>(0);
         EXPECT_EQ(rows[i].option, single.option);
         EXPECT_EQ(rows[i].corner, single.corner);
         EXPECT_EQ(rows[i].cbl_percent, single.cbl_percent);
@@ -166,19 +176,26 @@ TEST(StudyBatch, WorstCaseAllOptionsMatchesPerOption)
 
 TEST(StudyBatch, NominalTdCacheIsThreadSafe)
 {
-    // Hammer the td_nominal_cache_ from several workers: same word_lines
-    // from four jobs plus two distinct lengths.  All six must agree with
-    // the serial values (the cache is deterministic, so redundant compute
-    // on a race still lands on one value).
-    const core::Variability_study study;
-    const double expected_16 = study.nominal_td(16).td_simulation;
-    const double expected_32 = study.nominal_td(32).td_simulation;
+    // Hammer the nominal memo from several workers: same word_lines from
+    // four jobs plus two distinct lengths.  All six must agree with the
+    // serial values (the memo is deterministic, so redundant compute on a
+    // race still lands on one value).
+    const core::Study_session session;
+    const auto nominal_td = [&session](int word_lines) {
+        return session
+            .run(Query(Metric::nominal_td)
+                     .with_case({tech::Patterning_option::euv, word_lines}))
+            .as<core::Nominal_td_row>(0)
+            .td_simulation;
+    };
+    const double expected_16 = nominal_td(16);
+    const double expected_32 = nominal_td(32);
 
     std::vector<double> results(6, 0.0);
     core::Run_plan plan;
     plan.add_indexed(6, [&](std::size_t i, const core::Run_context&) {
         const int word_lines = i < 4 ? 16 : 32;
-        results[i] = study.nominal_td(word_lines).td_simulation;
+        results[i] = nominal_td(word_lines);
     });
     core::run(plan, core::Runner_options{4});
 
