@@ -1,9 +1,14 @@
 #include "spice/mosfet_model.h"
 
+#include <bit>
 #include <cmath>
+#include <cstdint>
+#include <span>
+#include <vector>
 
 #include <gtest/gtest.h>
 
+#include "spice/analysis.h"
 #include "util/contracts.h"
 
 namespace {
@@ -159,6 +164,156 @@ TEST(MosfetModel, ValidatesParameters)
                  mpsram::util::Precondition_error);
     EXPECT_THROW(calibrate_beta(nmos(), 0.7, -1.0),
                  mpsram::util::Precondition_error);
+}
+
+// --- MOSFET stamps in the MNA system ------------------------------------------
+
+/// An inverter driving a doubled NMOS load and a pass gate: driven gates
+/// and a driven source (their Jacobian entries move to the RHS), grounded
+/// sources (dropped entries), a multiplicity, and a pass gate whose source
+/// is an unknown node.
+Circuit driven_gate_circuit()
+{
+    Circuit c;
+    const Node vdd = c.node("vdd");
+    const Node in = c.node("in");
+    const Node out = c.node("out");
+    const Node load = c.node("load");
+    const Node mid = c.node("mid");
+    c.add_voltage_source("Vdd", vdd, ground_node, Waveform::dc(0.7));
+    c.add_voltage_source("Vin", in, ground_node,
+                         Waveform::pulse(0.0, 0.7, 40e-12, 20e-12));
+    c.add_mosfet("Mp", out, in, vdd, pmos());
+    c.add_mosfet("Mn", out, in, ground_node, nmos());
+    c.add_capacitor("Cout", out, ground_node, 0.2e-15);
+    c.add_mosfet("Mload", load, out, ground_node, nmos(), 2.0);
+    c.add_resistor("Rload", load, vdd, 20e3);
+    c.add_capacitor("Cload", load, ground_node, 0.1e-15);
+    c.add_mosfet("Mpass", load, in, mid, nmos());
+    c.add_resistor("Rmid", mid, ground_node, 50e3);
+    return c;
+}
+
+void expect_bitwise(const std::vector<double>& got,
+                    std::span<const double> want, const char* what)
+{
+    ASSERT_EQ(got.size(), want.size()) << what;
+    for (std::size_t i = 0; i < want.size(); ++i) {
+        EXPECT_EQ(std::bit_cast<std::uint64_t>(got[i]),
+                  std::bit_cast<std::uint64_t>(want[i]))
+            << what << "[" << i << "] = " << got[i] << ", pinned "
+            << want[i];
+    }
+}
+
+TEST(MosfetStamp, DrivenGateCircuitMatchesPinnedValues)
+{
+    // Printed at %.17g before the MOSFETs moved from Device::stamp into the
+    // MNA system's bank; the stamp program must reproduce them bit for bit
+    // on both solver tiers, DC operating point and a 20-step transient.
+    const double dc_direct[] = {
+        0, 0.69999999999999996, 0, 0.69999551224421253, 0.078384878153998527,
+        2.357692081083887e-05,
+    };
+    const double dc_bypass[] = {
+        0, 0.69999999999999996, 0, 0.69999551224932199, 0.078384878158175506,
+        2.357692081392931e-05,
+    };
+    const double out_direct[] = {
+        0.69999551224421253, 0.69999551224421241, 0.6999955122442123,
+        0.6999955122442123, 0.6999955122442123, 0.66309859340747024,
+        0.11389988125642055, 0.009744615654140738, -0.0061622655443943526,
+        0.0048202016925120777, -0.0028593721423364085, 0.0024635995754610489,
+        -0.0012485475780089346, 0.0013292281238657265,
+        -0.00046609613594009229, 0.00078171020484284095,
+        -8.6785619831125923e-05, 0.00051710416228414532,
+        9.6914327568201189e-05, 0.00038914485335701592,
+        0.00018583904007161845,
+    };
+    const double load_direct[] = {
+        0.078384878153998527, 0.078384878153998278, 0.078384878153998291,
+        0.078384878153998291, 0.078384878153998291, 0.084269375097438565,
+        0.45821434495978086, 0.58216893064990138, 0.61756601133782385,
+        0.60238369248626256, 0.60889543845076455, 0.60610311187127075,
+        0.60730033041810205, 0.60678725361454722, 0.60700702978790688,
+        0.60691299046663094, 0.60695317106368551, 0.60693604949888058,
+        0.60694331582873617, 0.60694025413178165, 0.60694152936779489,
+    };
+    const double mid_direct[] = {
+        2.357692081083887e-05, 2.3576920810838653e-05,
+        2.3576920810838649e-05, 2.3576920810838649e-05,
+        2.3576920810838649e-05, 0.038507510847828379, 0.23210635300571436,
+        0.23253259279859523, 0.23262262297534628, 0.23258415014894043,
+        0.23260067057381142, 0.23259359036241006, 0.23259662671880824,
+        0.23259532559633075, 0.23259588295516292, 0.23259564447304942,
+        0.23259574637115568, 0.23259570295096524, 0.23259572137836265,
+        0.23259571361391038, 0.23259571684790503,
+    };
+    const double out_bypass[] = {
+        0.69999551224421253, 0.6999955122442123, 0.69999551224421219,
+        0.6999955122442123, 0.69999551224421241, 0.66309859351338452,
+        0.11389988036334284, 0.0097446149910034481, -0.006162265722296072,
+        0.0048202017106457476, -0.0028593781714739766, 0.0024635961782306292,
+        -0.0012485484869794153, 0.0013292266449600602,
+        -0.00046609557372916121, 0.00078170963438777008,
+        -8.6785344158001526e-05, 0.00051710393734883862,
+        9.6914450259431072e-05, 0.00038914476376160318,
+        0.00018584194736434299,
+    };
+    const double load_bypass[] = {
+        0.078384878153998527, 0.078384878153998264, 0.078384878153998319,
+        0.078384878153998264, 0.078384878153998278, 0.084269375145518896,
+        0.45821434640776071, 0.58216893089618249, 0.61756601123761534,
+        0.6023836925303383, 0.60889543846154304, 0.60610311190664812,
+        0.60730033042231335, 0.60678725362457286, 0.60700702978639498,
+        0.60691299046725622, 0.60695317106292768, 0.60693604949852009,
+        0.60694331582814987, 0.60694025413114672, 0.60694152935200918,
+    };
+    const double mid_bypass[] = {
+        2.357692081083887e-05, 2.3576920810838649e-05,
+        2.3576920810838653e-05, 2.3576920810838649e-05,
+        2.3576920810838649e-05, 0.038507510503603438, 0.23210634804367725,
+        0.23253259279781066, 0.23262262297312175, 0.23258415014903402,
+        0.23260067057383782, 0.2325935903624998, 0.2325966267188197,
+        0.23259532559635629, 0.23259588295515904, 0.23259564447630746,
+        0.2325957463722208, 0.23259570295281862, 0.23259572137985488,
+        0.23259571361554959, 0.23259571684944286,
+    };
+    struct Pinned {
+        Solver_policy solver;
+        std::span<const double> dc;
+        std::span<const double> waves[3];
+        long long evaluations;
+    };
+    const Pinned runs[] = {
+        {Solver_policy::direct, dc_direct,
+         {out_direct, load_direct, mid_direct}, 292},
+        {Solver_policy::bypass, dc_bypass,
+         {out_bypass, load_bypass, mid_bypass}, 166},
+    };
+    for (const Pinned& pin : runs) {
+        SCOPED_TRACE(pin.solver == Solver_policy::direct ? "direct"
+                                                         : "bypass");
+        Circuit c = driven_gate_circuit();
+        Dc_options dc;
+        dc.newton.solver = pin.solver;
+        expect_bitwise(dc_operating_point(c, dc).voltages, pin.dc, "dc");
+
+        Transient_options opts;
+        opts.tstop = 200e-12;
+        opts.nominal_steps = 20;
+        opts.newton.solver = pin.solver;
+        const Transient_result r = run_transient(
+            c, {c.find_node("out"), c.find_node("load"), c.find_node("mid")},
+            opts);
+        const char* names[] = {"out", "load", "mid"};
+        for (int p = 0; p < 3; ++p) {
+            expect_bitwise(r.waveform(names[p]).ys(), pin.waves[p],
+                           names[p]);
+        }
+        EXPECT_EQ(r.steps().newton_iterations, 63);
+        EXPECT_EQ(r.steps().device_evaluations, pin.evaluations);
+    }
 }
 
 } // namespace

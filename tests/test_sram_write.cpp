@@ -4,9 +4,12 @@
 
 #include <gtest/gtest.h>
 
+#include "core/serialize.h"
+#include "core/session.h"
 #include "extract/extractor.h"
 #include "pattern/engine.h"
 #include "util/contracts.h"
+#include "util/hash.h"
 
 namespace {
 
@@ -198,6 +201,42 @@ TEST(WriteSim, NonFlipReportsNanNotNegativeSentinel)
     // producing a plausible-looking negative percentage.
     const double twp = (r.tw / 20e-12 - 1.0) * 100.0;
     EXPECT_TRUE(std::isnan(twp));
+}
+
+TEST(WriteSim, McTwpSpiceRowsArePinned)
+{
+    // The SPICE engine of mc_twp runs one write per sample.  Its result
+    // bytes were pinned before writes stopped at the latch commit, and
+    // they must not move on either end of the tier range.
+    core::Study_options so;
+    so.cache.mode = core::Cache_mode::off;
+    const core::Study_session session(tech::n10(), so);
+    struct Pinned {
+        sram::Sim_accuracy accuracy;
+        spice::Solver_policy solver;
+        const char* hash;
+    };
+    const Pinned pins[] = {
+        {sram::Sim_accuracy::fast, spice::Solver_policy::bypass,
+         "a856c21506f8ec3b"},
+        {sram::Sim_accuracy::reference, spice::Solver_policy::direct,
+         "f7eae833cf92fd2d"},
+    };
+    for (const Pinned& pin : pins) {
+        core::Query q =
+            core::Query(core::Metric::mc_twp)
+                .with_case({tech::Patterning_option::le3, 16, -1.0})
+                .with_twp_engine(core::Twp_engine::spice)
+                .with_accuracy(pin.accuracy)
+                .with_solver(pin.solver);
+        q.mc.samples = 4;
+        q.mc.seed = 7;
+        const core::Result_table table = session.run(q);
+        EXPECT_EQ(util::hex16(util::fnv1a(
+                      core::json_of_result_table(table).dump())),
+                  pin.hash)
+            << sram::to_string(pin.accuracy);
+    }
 }
 
 } // namespace
