@@ -37,6 +37,8 @@ Disturb_result simulate_disturb(Disturb_netlist& net,
     apply_sim_accuracy(topts, opts.accuracy);
     apply_solver_policy(topts,
                         resolve_solver_policy(opts.accuracy, opts.solver));
+    // No early stop, unlike reads and writes: v_bump is a peak over the
+    // whole window, and no sample before tstop proves it has been reached.
 
     const std::vector<spice::Node> probes = {net.q, net.qb, net.bl_far,
                                              net.blb_far};

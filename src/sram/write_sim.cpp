@@ -16,14 +16,9 @@ Write_result simulate_write(Write_netlist& net, const Write_options& opts)
     return simulate_write(net, opts, workspace);
 }
 
-Write_result simulate_write(Write_netlist& net, const Write_options& opts,
-                            spice::Transient_workspace& workspace)
+spice::Transient_options write_transient_options(const Write_netlist& net,
+                                                 const Write_options& opts)
 {
-    util::expects(opts.nominal_steps > 0, "steps must be positive");
-    util::expects(opts.window > 0.0, "window must be positive");
-    util::expects(opts.window_per_cell >= 0.0,
-                  "per-cell window padding must be non-negative");
-
     const double window =
         std::max(opts.window, opts.window_per_cell *
                                   static_cast<double>(net.word_lines));
@@ -35,7 +30,25 @@ Write_result simulate_write(Write_netlist& net, const Write_options& opts,
     apply_sim_accuracy(topts, opts.accuracy);
     apply_solver_policy(topts,
                         resolve_solver_policy(opts.accuracy, opts.solver));
+    // The latch has committed once q reaches this fraction of vdd: its
+    // own feedback finishes the flip, and tw (q = vdd/2) lies behind it.
+    constexpr double commit = 0.9;
+    topts.stop = spice::Differential_stop{net.q, spice::ground_node,
+                                          commit * net.vdd,
+                                          net.timing.wl_mid()};
+    return topts;
+}
 
+Write_result simulate_write(Write_netlist& net, const Write_options& opts,
+                            spice::Transient_workspace& workspace)
+{
+    util::expects(opts.nominal_steps > 0, "steps must be positive");
+    util::expects(opts.window > 0.0, "window must be positive");
+    util::expects(opts.window_per_cell >= 0.0,
+                  "per-cell window padding must be non-negative");
+
+    const spice::Transient_options topts =
+        write_transient_options(net, opts);
     const std::vector<spice::Node> probes = {net.q, net.qb, net.bl,
                                              net.blb};
     const spice::Transient_result waves =
@@ -47,11 +60,14 @@ Write_result simulate_write(Write_netlist& net, const Write_options& opts,
     r.q_final = waves.final_value(q_name);
     r.qb_final = waves.final_value(net.circuit.node_name(net.qb));
 
-    const double t_flip = spice::crossing_time(
-        waves, q_name, 0.5 * net.vdd, net.timing.wl_mid());
-    if (t_flip >= 0.0 && r.q_final > 0.5 * net.vdd) {
+    const double t_ref = net.timing.wl_mid();
+    const double t_commit =
+        spice::crossing_time(waves, q_name, topts.stop->level, t_ref);
+    const double t_flip =
+        spice::crossing_time(waves, q_name, 0.5 * net.vdd, t_ref);
+    if (t_commit >= 0.0 && t_flip >= 0.0) {
         r.flipped = true;
-        r.tw = t_flip - net.timing.wl_mid();
+        r.tw = t_flip - t_ref;
         // Timing contract: a flipped cell reports a finite write time
         // measured from wordline mid-rise, never a negative one.
         MPSRAM_ENSURE(std::isfinite(r.tw) && r.tw >= 0.0,

@@ -47,11 +47,26 @@ struct Write_result {
     /// failed write poisons any penalty arithmetic instead of leaking a
     /// plausible-looking negative sentinel into it; check `flipped`.
     double tw = std::numeric_limits<double>::quiet_NaN();
+    /// q reached the commit level (write_transient_options) after wl_mid,
+    /// with the driver and word line still on.  A write whose q crosses
+    /// vdd/2 but never commits within the window is not flipped.
     bool flipped = false;
+    /// q / qb at the last simulated sample [V]: the stop sample that closes
+    /// the commit crossing of a flipped write, the window end otherwise.
     double q_final = 0.0;
     double qb_final = 0.0;
     spice::Step_stats steps;  ///< step-control counters of the run
 };
+
+/// Transient options of a write: tstop = wl_mid + max(window,
+/// window_per_cell * n), the accuracy and solver tiers of `opts`, and a
+/// stop at the first sample where q has reached the commit level (0.9 vdd)
+/// after wl_mid.  tw only needs the earlier vdd/2 crossing, and the stopped
+/// run's samples are a prefix of the full window's (analysis.h), so tw is
+/// bitwise that of the full window; reset `stop` to integrate the whole
+/// window.
+spice::Transient_options write_transient_options(const Write_netlist& net,
+                                                 const Write_options& opts);
 
 /// Simulate the write and measure tw.  The netlist is reusable: capacitor
 /// history is re-initialized by the DC operating point of each run.  The

@@ -1,6 +1,10 @@
 #include "sram/write_sim.h"
 
+#include <bit>
 #include <cmath>
+#include <cstdint>
+#include <string>
+#include <vector>
 
 #include <gtest/gtest.h>
 
@@ -8,8 +12,10 @@
 #include "core/session.h"
 #include "extract/extractor.h"
 #include "pattern/engine.h"
+#include "spice/measure.h"
 #include "util/contracts.h"
 #include "util/hash.h"
+#include "util/stats.h"
 
 namespace {
 
@@ -125,26 +131,180 @@ TEST(WriteSim, WorstCaseBitlineVariabilitySlowsTheWrite)
 TEST(WriteSim, AdaptivePolicyAgreesWithReference)
 {
     Fixture f(8);
-    sram::Write_netlist ref_net =
-        sram::build_write_netlist(f.t, f.cell, f.wires, f.cfg);
     sram::Write_options ref_opts;
     ref_opts.accuracy = sram::Sim_accuracy::reference;
-    const auto ref = sram::simulate_write(ref_net, ref_opts);
-
-    sram::Write_netlist fast_net =
-        sram::build_write_netlist(f.t, f.cell, f.wires, f.cfg);
     sram::Write_options fast_opts;
     fast_opts.accuracy = sram::Sim_accuracy::fast;
-    const auto fast = sram::simulate_write(fast_net, fast_opts);
 
+    sram::Write_netlist ref_net =
+        sram::build_write_netlist(f.t, f.cell, f.wires, f.cfg);
+    const auto ref = sram::simulate_write(ref_net, ref_opts);
+    sram::Write_netlist fast_net =
+        sram::build_write_netlist(f.t, f.cell, f.wires, f.cfg);
+    const auto fast = sram::simulate_write(fast_net, fast_opts);
     ASSERT_TRUE(ref.flipped);
     ASSERT_TRUE(fast.flipped);
     EXPECT_NEAR(fast.tw, ref.tw, 0.005 * ref.tw);
-    EXPECT_NEAR(fast.q_final, ref.q_final, 2e-3);
-    EXPECT_NEAR(fast.qb_final, ref.qb_final, 2e-3);
-    // The adaptive engine must be meaningfully cheaper even on this small
-    // column (the write waveform settles early in the window).
-    EXPECT_LT(fast.steps.total_attempts(), ref.steps.total_attempts());
+
+    // A write stops at its own commit sample, which each engine places
+    // differently, so the finals and the step cost are compared at the
+    // window end, on full-window transients of the same write netlist.
+    struct Window_end {
+        double q;
+        double qb;
+        spice::Step_stats steps;
+    };
+    auto window_end = [&](const sram::Write_options& opts) {
+        sram::Write_netlist net =
+            sram::build_write_netlist(f.t, f.cell, f.wires, f.cfg);
+        spice::Transient_options topts =
+            sram::write_transient_options(net, opts);
+        topts.stop.reset();
+        const auto waves =
+            spice::run_transient(net.circuit, {net.q, net.qb}, topts);
+        return Window_end{waves.final_value(net.circuit.node_name(net.q)),
+                          waves.final_value(net.circuit.node_name(net.qb)),
+                          waves.steps()};
+    };
+    const Window_end ref_end = window_end(ref_opts);
+    const Window_end fast_end = window_end(fast_opts);
+    EXPECT_NEAR(fast_end.q, ref_end.q, 2e-3);
+    EXPECT_NEAR(fast_end.qb, ref_end.qb, 2e-3);
+    // Post-write data: q high, qb low.
+    EXPECT_GT(fast_end.q, 0.6);
+    EXPECT_LT(fast_end.qb, 0.1);
+    // The adaptive engine must be meaningfully cheaper over the window
+    // (the write waveform settles early in it).
+    EXPECT_LT(fast_end.steps.total_attempts(),
+              ref_end.steps.total_attempts());
+}
+
+struct Tier {
+    sram::Sim_accuracy accuracy;
+    spice::Solver_policy solver;
+    const char* name;
+};
+
+constexpr Tier kTiers[] = {
+    {sram::Sim_accuracy::reference, spice::Solver_policy::direct,
+     "reference+direct"},
+    {sram::Sim_accuracy::fast, spice::Solver_policy::bypass, "fast+bypass"},
+};
+
+/// True if every time point and probed sample of `head` is bitwise the
+/// same sample of `whole`.
+bool is_prefix(const spice::Transient_result& head,
+               const spice::Transient_result& whole,
+               const std::vector<std::string>& probes)
+{
+    const std::size_t k = head.sample_count();
+    if (k > whole.sample_count()) return false;
+    const auto prefix = [k](const std::vector<double>& v) {
+        return std::vector<double>(v.begin(),
+                                   v.begin() + static_cast<long>(k));
+    };
+    if (!util::bits_equal(head.time(), prefix(whole.time()))) return false;
+    for (const std::string& p : probes) {
+        if (!util::bits_equal(head.waveform(p).ys(),
+                              prefix(whole.waveform(p).ys()))) {
+            return false;
+        }
+    }
+    return true;
+}
+
+TEST(WriteSim, CommitStopKeepsTwBitIdentical)
+{
+    // simulate_write stops once q has committed; tw and flipped must be
+    // those of a full-window transient of the same netlist, on both ends
+    // of the tier range.
+    for (const int n : {16, 64, 256}) {
+        Fixture f(n);
+        for (const Tier& tier : kTiers) {
+            SCOPED_TRACE(std::string(tier.name) + " n=" + std::to_string(n));
+            sram::Write_netlist net =
+                sram::build_write_netlist(f.t, f.cell, f.wires, f.cfg);
+            sram::Write_options opts;
+            opts.accuracy = tier.accuracy;
+            opts.solver = tier.solver;
+            const sram::Write_result w = sram::simulate_write(net, opts);
+            ASSERT_TRUE(w.flipped);
+
+            const spice::Transient_options stop_opts =
+                sram::write_transient_options(net, opts);
+            ASSERT_TRUE(stop_opts.stop.has_value());
+            spice::Transient_options full_opts = stop_opts;
+            full_opts.stop.reset();
+            const std::vector<spice::Node> probes = {net.q, net.qb};
+            const auto stopped =
+                spice::run_transient(net.circuit, probes, stop_opts);
+            const auto full =
+                spice::run_transient(net.circuit, probes, full_opts);
+
+            const std::string q = net.circuit.node_name(net.q);
+            const std::string qb = net.circuit.node_name(net.qb);
+            const double t_ref = net.timing.wl_mid();
+            const double t_flip =
+                spice::crossing_time(full, q, 0.5 * net.vdd, t_ref);
+            const double t_commit =
+                spice::crossing_time(full, q, stop_opts.stop->level, t_ref);
+            // The full window flips under both readings of the word: q
+            // commits, and q ends above vdd/2.
+            const bool full_flipped = t_flip >= 0.0 && t_commit >= 0.0 &&
+                                      full.final_value(q) > 0.5 * net.vdd;
+            EXPECT_EQ(w.flipped, full_flipped);
+            EXPECT_EQ(std::bit_cast<std::uint64_t>(w.tw),
+                      std::bit_cast<std::uint64_t>(t_flip - t_ref));
+
+            // The write ran exactly the stopped transient, a strict prefix
+            // of the full window ending on the commit segment.
+            EXPECT_EQ(w.steps.newton_iterations,
+                      stopped.steps().newton_iterations);
+            EXPECT_EQ(w.steps.accepted, stopped.steps().accepted);
+            EXPECT_LT(stopped.sample_count(), full.sample_count());
+            EXPECT_TRUE(is_prefix(stopped, full, {q, qb}));
+            EXPECT_GE(stopped.time().back(), t_commit);
+            EXPECT_LT(stopped.time()[stopped.sample_count() - 2], t_commit);
+            EXPECT_EQ(w.q_final, stopped.final_value(q));
+            EXPECT_EQ(w.qb_final, stopped.final_value(qb));
+            EXPECT_GE(w.q_final, stop_opts.stop->level);
+        }
+    }
+}
+
+TEST(WriteSim, WriteTooWeakToCommitRunsToWindowEnd)
+{
+    // A write driver scaled far down cannot pull BLB low enough to flip
+    // the cell: the stop never fires, the run integrates to tstop with
+    // the full run's counters, and the write reports not flipped.
+    Fixture f(16);
+    sram::Cell_electrical weak = f.cell;
+    weak.pull_down.beta *= 0.05;
+    for (const Tier& tier : kTiers) {
+        SCOPED_TRACE(tier.name);
+        sram::Write_netlist net =
+            sram::build_write_netlist(f.t, weak, f.wires, f.cfg);
+        sram::Write_options opts;
+        opts.accuracy = tier.accuracy;
+        opts.solver = tier.solver;
+        const sram::Write_result w = sram::simulate_write(net, opts);
+        EXPECT_FALSE(w.flipped);
+        EXPECT_TRUE(std::isnan(w.tw));
+
+        spice::Transient_options full_opts =
+            sram::write_transient_options(net, opts);
+        full_opts.stop.reset();
+        const auto full =
+            spice::run_transient(net.circuit, {net.q, net.qb}, full_opts);
+        EXPECT_DOUBLE_EQ(full.time().back(), full_opts.tstop);
+        EXPECT_EQ(w.steps.accepted, full.steps().accepted);
+        EXPECT_EQ(w.steps.lte_rejected, full.steps().lte_rejected);
+        EXPECT_EQ(w.steps.newton_iterations, full.steps().newton_iterations);
+        EXPECT_EQ(w.steps.lu_factorizations, full.steps().lu_factorizations);
+        EXPECT_EQ(w.q_final,
+                  full.final_value(net.circuit.node_name(net.q)));
+        EXPECT_LT(w.q_final, 0.5 * net.vdd);
+    }
 }
 
 TEST(WriteSim, ValidatesInputs)
