@@ -5,7 +5,11 @@
 // iterate, time step, integration method).  No device keeps history
 // state: the one dynamic element, the capacitor, is structural — the MNA
 // system owns its companion model and history (spice/system.h), as it
-// owns the voltage sources' driven nodes and branch rows.
+// owns the voltage sources' driven nodes and branch rows.  MOSFETs, the
+// devices evaluated every Newton iteration, are a bank in the system as
+// well: it binds them through Mosfet::stamp, then evaluates them without
+// virtual calls through stamp_mosfet (spice/mosfet.h), the one stamp-call
+// sequence both paths share.
 //
 // Stamp-call contract.  Within one analysis mode, a device makes the same
 // sequence of Stamper calls — the same (eq, wrt) pairs in the same order —

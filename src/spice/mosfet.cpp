@@ -15,30 +15,7 @@ Mosfet::Mosfet(std::string name, Node drain, Node gate, Node source,
 
 void Mosfet::stamp(Stamper& s, const Eval_context& ctx) const
 {
-    const Node d = drain();
-    const Node g = gate();
-    const Node src = source();
-
-    const double vd = ctx.v(d);
-    const double vg = ctx.v(g);
-    const double vs = ctx.v(src);
-
-    const Mosfet_eval e = evaluate_mosfet(params_, vd, vg, vs, m_);
-
-    // Newton companion: ids(v) ~ ids0 + gds*dvd + gm*dvg + gms*dvs.
-    // ids flows d -> s inside the device, i.e. leaves node d and enters
-    // node s.
-    s.jacobian(d, d, e.gds);
-    s.jacobian(d, g, e.gm);
-    s.jacobian(d, src, e.gms);
-    s.jacobian(src, d, -e.gds);
-    s.jacobian(src, g, -e.gm);
-    s.jacobian(src, src, -e.gms);
-
-    const double i_const =
-        e.ids - (e.gds * vd + e.gm * vg + e.gms * vs);
-    s.rhs(d, -i_const);
-    s.rhs(src, i_const);
+    stamp_mosfet(s, drain(), gate(), source(), params_, m_, ctx.voltages);
 }
 
 double Mosfet::current(const Eval_context& ctx) const

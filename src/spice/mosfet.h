@@ -1,4 +1,8 @@
 // MOSFET circuit device wrapping the EKV-style compact model.
+//
+// The MNA system evaluates MOSFETs from its own bank (spice/system.h), not
+// through the virtual Device::stamp; both issue the one stamp-call
+// sequence of stamp_mosfet below.
 #ifndef MPSRAM_SPICE_MOSFET_H
 #define MPSRAM_SPICE_MOSFET_H
 
@@ -6,6 +10,36 @@
 #include "spice/mosfet_model.h"
 
 namespace mpsram::spice {
+
+/// The MOSFET stamp-call sequence, written once for every sink: the
+/// Stamper handed to Mosfet::stamp (which the MNA system binds) and the
+/// system's bank writer, which replays the bound ops without virtual
+/// calls.  `v` is the full node-indexed voltage vector.
+template <class Sink>
+void stamp_mosfet(Sink& s, Node d, Node g, Node src, const Mosfet_params& p,
+                  double m, const double* v)
+{
+    const double vd = v[d];
+    const double vg = v[g];
+    const double vs = v[src];
+
+    const Mosfet_eval e = evaluate_mosfet(p, vd, vg, vs, m);
+
+    // Newton companion: ids(v) ~ ids0 + gds*dvd + gm*dvg + gms*dvs.
+    // ids flows d -> s inside the device, i.e. leaves node d and enters
+    // node s.
+    s.jacobian(d, d, e.gds);
+    s.jacobian(d, g, e.gm);
+    s.jacobian(d, src, e.gms);
+    s.jacobian(src, d, -e.gds);
+    s.jacobian(src, g, -e.gm);
+    s.jacobian(src, src, -e.gms);
+
+    const double i_const =
+        e.ids - (e.gds * vd + e.gm * vg + e.gms * vs);
+    s.rhs(d, -i_const);
+    s.rhs(src, i_const);
+}
 
 /// Three-terminal MOSFET (drain, gate, source); the bulk is implicitly
 /// tied to the rail appropriate for the type (model is bulk-referenced).

@@ -108,7 +108,8 @@ inline void Mna_system::store(std::int32_t value, std::int32_t target,
 }
 
 /// Runtime stamper: replays a device's bound ops, storing each stamp
-/// value into its slab entry.
+/// value into its slab entry.  Virtual for Device::stamp; the MOSFET bank
+/// calls it through its final type, without dispatch.
 class Mna_system::Value_writer final : public Stamper {
 public:
     Value_writer(Mna_system& sys, const double* voltages)
@@ -244,6 +245,44 @@ void Mna_system::classify()
 
 namespace {
 
+/// Bitwise equality of two MOSFET models: the bank shares one table entry
+/// only between models that evaluate identically (+0.0 and -0.0 differ).
+bool same_model(const Mosfet_params& a, double ma, const Mosfet_params& b,
+                double mb)
+{
+    static_assert(sizeof(Mosfet_params) == 6 * sizeof(double),
+                  "same_model must compare every Mosfet_params field");
+    const auto bits = [](double x) { return std::bit_cast<std::uint64_t>(x); };
+    return a.type == b.type && bits(a.vth) == bits(b.vth) &&
+           bits(a.n) == bits(b.n) && bits(a.beta) == bits(b.beta) &&
+           bits(a.lambda) == bits(b.lambda) && bits(a.v_t) == bits(b.v_t) &&
+           bits(ma) == bits(mb);
+}
+
+/// Device-level bypass drift check: true when every terminal nodes[j]
+/// stayed within vtol of v_eval[j], its voltage at the device's last
+/// recorded evaluation (NaN: none).  Branch-free: no early exit.
+bool quiet(const double* v, const Node* nodes, const double* v_eval,
+           std::size_t count, double vtol)
+{
+    bool still = true;
+    for (std::size_t j = 0; j < count; ++j) {
+        still &= std::fabs(v[nodes[j]] - v_eval[j]) <= vtol;
+    }
+    return still;
+}
+
+/// After an evaluation: record its terminal voltages on the bypass tier,
+/// forget them (NaN) otherwise.
+void record(const double* v, const Node* nodes, double* v_eval,
+            std::size_t count, bool bypass)
+{
+    for (std::size_t j = 0; j < count; ++j) {
+        v_eval[j] = bypass ? v[nodes[j]]
+                           : std::numeric_limits<double>::quiet_NaN();
+    }
+}
+
 /// Binding context: stamps only need the call sequence, so voltages are
 /// zero and the step is any positive value.
 Eval_context binding_context(Analysis_mode mode,
@@ -328,6 +367,7 @@ void Mna_system::compile()
     build_fold_index();
     schedule();
     bind_capacitors();
+    bind_mosfets();
 }
 
 std::int32_t Mna_system::bind_jacobian(Node eq, Node wrt)
@@ -442,8 +482,12 @@ void Mna_system::schedule()
         const std::int32_t first = device_op_[i];
         const std::int32_t end = device_op_[i + 1];
         counted_[i] = dev.is_nonlinear();
-        // Capacitors belong to the bank (bind_capacitors).
-        if (dynamic_cast<const Capacitor*>(&dev) != nullptr) continue;
+        // Capacitors and MOSFETs belong to their banks (bind_capacitors,
+        // bind_mosfets).
+        if (dynamic_cast<const Capacitor*>(&dev) != nullptr ||
+            dynamic_cast<const Mosfet*>(&dev) != nullptr) {
+            continue;
+        }
 
         // The DC call sequence must be the transient one or empty.  A
         // voltage-only stamp does not depend on the mode, so only the
@@ -543,6 +587,31 @@ void Mna_system::bind_capacitors()
     cap_v_prev_.assign(count, 0.0);
     cap_i_prev_.assign(count, 0.0);
     snapshot_capacitances();
+}
+
+void Mna_system::bind_mosfets()
+{
+    const auto& devices = circuit_->devices();
+    for (std::size_t i = 0; i < devices.size(); ++i) {
+        const auto* mos = dynamic_cast<const Mosfet*>(devices[i].get());
+        if (mos == nullptr) continue;
+        const Mos_model model{mos->params(), mos->multiplicity()};
+        auto it = std::find_if(
+            mos_models_.begin(), mos_models_.end(), [&](const Mos_model& m) {
+                return same_model(m.params, m.m, model.params, model.m);
+            });
+        if (it == mos_models_.end()) it = mos_models_.insert(it, model);
+        mos_model_.push_back(
+            static_cast<std::int32_t>(it - mos_models_.begin()));
+        mos_device_.push_back(static_cast<std::int32_t>(i));
+        mos_nodes_.insert(mos_nodes_.end(),
+                          {mos->drain(), mos->gate(), mos->source()});
+    }
+    mos_model_.shrink_to_fit();
+    mos_device_.shrink_to_fit();
+    mos_nodes_.shrink_to_fit();
+    mos_v_eval_.assign(mos_nodes_.size(),
+                       std::numeric_limits<double>::quiet_NaN());
 }
 
 void Mna_system::snapshot_capacitances()
@@ -664,33 +733,51 @@ void Mna_system::load(const Eval_context& ctx,
         evaluate(always_devices_[k], writer, ctx);
     }
 
-    // Checked devices.  On the bypass tier a device whose terminals —
-    // driven ones included — all stayed within device_bypass_vtol of its
-    // last recorded evaluation keeps its values; the direct tier (and
-    // vtol <= 0) re-evaluates every iteration and records nothing.
+    // Checked devices and the MOSFET bank.  On the bypass tier a device
+    // whose terminals — driven ones included — all stayed within
+    // device_bypass_vtol of its last recorded evaluation keeps its values;
+    // the direct tier (and vtol <= 0) re-evaluates every iteration and
+    // records nothing.
     const double vtol = opts.device_bypass_vtol;
     const bool bypass = opts.solver == Solver_policy::bypass && vtol > 0.0;
     for (std::size_t k = 0; k < checked_devices_.size(); ++k) {
         const auto first = static_cast<std::size_t>(check_ptr_[k]);
-        const auto last = static_cast<std::size_t>(check_ptr_[k + 1]);
-        if (bypass) {
-            // Branch-free over the terminals: no early exit.
-            bool quiet = true;
-            for (std::size_t j = first; j < last; ++j) {
-                const auto n = static_cast<std::size_t>(check_nodes_[j]);
-                quiet &= std::fabs(voltages[n] - v_eval_[j]) <= vtol;
-            }
-            if (quiet) continue;
+        const std::size_t count =
+            static_cast<std::size_t>(check_ptr_[k + 1]) - first;
+        const Node* nodes = &check_nodes_[first];
+        if (bypass &&
+            quiet(voltages.data(), nodes, &v_eval_[first], count, vtol)) {
+            continue;
         }
         evaluate(checked_devices_[k], writer, ctx);
-        for (std::size_t j = first; j < last; ++j) {
-            v_eval_[j] =
-                bypass ? voltages[static_cast<std::size_t>(check_nodes_[j])]
-                       : std::numeric_limits<double>::quiet_NaN();
-        }
+        record(voltages.data(), nodes, &v_eval_[first], count, bypass);
     }
+    evaluate_mosfets(writer, voltages.data(), bypass, vtol);
 
     fold(ctx, voltages, opts, forces);
+}
+
+/// The MOSFET bank's iteration: the drift check, then the EKV kernel and
+/// the stamp-call sequence of stamp_mosfet straight into the writer.
+void Mna_system::evaluate_mosfets(Value_writer& writer,
+                                  const double* voltages, bool bypass,
+                                  double vtol)
+{
+    for (std::size_t k = 0; k < mos_model_.size(); ++k) {
+        const Node* nodes = &mos_nodes_[3 * k];
+        double* v_eval = &mos_v_eval_[3 * k];
+        if (bypass && quiet(voltages, nodes, v_eval, 3, vtol)) continue;
+        const Mos_model& model =
+            mos_models_[static_cast<std::size_t>(mos_model_[k])];
+        writer.begin(mos_device_[k]);
+        stamp_mosfet(writer, nodes[0], nodes[1], nodes[2], model.params,
+                     model.m, voltages);
+        MPSRAM_ASSERT(writer.done(),
+                      "MOSFET made fewer stamp calls than its bound program",
+                      MPSRAM_VAL(mos_device_[k]));
+        ++counters_.device_evaluations;
+        record(voltages, nodes, v_eval, 3, bypass);
+    }
 }
 
 double Mna_system::fold_target(std::int32_t target) const
@@ -998,6 +1085,8 @@ void Mna_system::reset_reuse_state()
     factored_ = false;
     statics_stale_ = true;
     std::fill(v_eval_.begin(), v_eval_.end(),
+              std::numeric_limits<double>::quiet_NaN());
+    std::fill(mos_v_eval_.begin(), mos_v_eval_.end(),
               std::numeric_limits<double>::quiet_NaN());
     snapshot_capacitances();
 }

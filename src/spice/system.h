@@ -32,7 +32,7 @@
 //       - checked: voltage-only and nonlinear, or linear with a driven
 //         column — re-evaluated every iteration on the direct tier, and
 //         behind the per-device device_bypass_vtol drift check on the
-//         bypass tier;
+//         bypass tier (MOSFETs are checked too, from their bank, below);
 //       - always: nonlinear devices that are not voltage-only.
 //     Devices that make no stamp calls in DC are skipped in DC, with
 //     their slab values held at +0.0.
@@ -50,6 +50,17 @@
 //     drop, rhs, drop]) writes its two live values directly; any other
 //     goes through the general six-op path.  Capacitances are
 //     snapshotted in reset_reuse_state(), where value edits take effect.
+//   * MOSFET bank.  MOSFETs, the devices evaluated every Newton
+//     iteration, skip the virtual Device::stamp: an SoA bank in device
+//     order holds each one's terminals, an index into a table of the
+//     distinct (Mosfet_params, multiplicity) models (equal bit for bit),
+//     its span of the op tape (six Jacobian entries, then two RHS
+//     entries) and its drift record.  One flat loop applies the checked
+//     class's drift check to every record and runs stamp_mosfet
+//     (spice/mosfet.h) for those that moved: the stamp-call sequence
+//     binding recorded through Mosfet::stamp, into the runtime stamper
+//     called through its final type, so values, order and checked-build
+//     assertions are those of the device stamping itself.
 //   * Slab layout.  Values are stored target-major: the contributions to
 //     one matrix slot or RHS row are contiguous, in device order.
 //   * Fold.  Each matrix slot and RHS row is the sum of its
@@ -206,6 +217,7 @@ private:
     void build_fold_index();
     void schedule();
     void bind_capacitors();
+    void bind_mosfets();
     void snapshot_capacitances();
 
     // Op encoding (see the stamp-program members below).  bind_* route
@@ -232,6 +244,8 @@ private:
     Companion companion(std::size_t k, double dt, bool trap) const;
     void evaluate_capacitors(const Eval_context& ctx);
     void zero_capacitors();
+    void evaluate_mosfets(Value_writer& writer, const double* voltages,
+                          bool bypass, double vtol);
     void store(std::int32_t value, std::int32_t target, double v);
     void fold(const Eval_context& ctx, const std::vector<double>& voltages,
               const Newton_options& opts,
@@ -332,6 +346,19 @@ private:
     /// six per other capacitor, in binding order.
     std::vector<Cap_op> cap_ops_;
     std::size_t grounded_caps_ = 0;
+
+    // MOSFET bank (file comment), one record per MOSFET in device order.
+    struct Mos_model {
+        Mosfet_params params;
+        double m;  ///< multiplicity
+    };
+    std::vector<Mos_model> mos_models_;     ///< distinct models
+    std::vector<std::int32_t> mos_model_;   ///< per record, into mos_models_
+    std::vector<std::int32_t> mos_device_;  ///< per record, its op-tape span
+    std::vector<Node> mos_nodes_;           ///< drain, gate, source
+    /// Terminal voltages at the last recorded evaluation (NaN = none),
+    /// three per record, as v_eval_ for the other checked devices.
+    std::vector<double> mos_v_eval_;
 
     bool assembled_ = false;      ///< a full fold has happened
     bool assembled_dc_ = false;   ///< mode of the last assembly

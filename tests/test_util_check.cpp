@@ -174,6 +174,34 @@ TEST(Check, CheckedBuildRejectsNanStampedDevice)
 #endif
 }
 
+TEST(Check, CheckedBuildRejectsNanStampedMosfet)
+{
+    // MOSFETs are evaluated from the MNA system's bank, not through
+    // Device::stamp; the bank keeps the per-stamp finiteness guard.  A NaN
+    // beta passes the model's parameter checks and poisons every stamp.
+#ifndef MPSRAM_CHECKED
+    GTEST_SKIP() << "contract layer compiled out in this build";
+#else
+    spice::Circuit c;
+    const spice::Node vdd = c.node("vdd");
+    c.add_voltage_source("Vdd", vdd, spice::ground_node,
+                         spice::Waveform::dc(0.7));
+    const spice::Node out = c.node("out");
+    c.add_resistor("R1", vdd, out, 1000.0);
+    spice::Mosfet_params bad;
+    bad.beta = quiet_nan;
+    c.add_mosfet("MNAN", out, vdd, spice::ground_node, bad);
+    try {
+        spice::dc_operating_point(c);
+        ADD_FAILURE() << "a NaN-stamped MOSFET was not caught";
+    } catch (const util::Contract_error& e) {
+        const std::string what = e.what();
+        EXPECT_NE(what.find("non-finite Jacobian stamp"), std::string::npos)
+            << what;
+    }
+#endif
+}
+
 /// Test-only device breaking the stamp-call contract of device.h: which
 /// Jacobian entry it stamps depends on the iterate.  Nonlinear, so it is
 /// re-stamped on every Newton iteration.
