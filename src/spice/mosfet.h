@@ -13,8 +13,8 @@ namespace mpsram::spice {
 
 /// The MOSFET stamp-call sequence, written once for every sink: the
 /// Stamper handed to Mosfet::stamp (which the MNA system binds) and the
-/// system's bank writer, which replays the bound ops without virtual
-/// calls.  `v` is the full node-indexed voltage vector.
+/// system's runtime stamper, which its MOSFET bank calls without virtual
+/// dispatch.  `v` is the full node-indexed voltage vector.
 template <class Sink>
 void stamp_mosfet(Sink& s, Node d, Node g, Node src, const Mosfet_params& p,
                   double m, const double* v)

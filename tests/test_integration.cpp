@@ -24,18 +24,6 @@ Row run_single(Metric metric, core::Query_case c)
     return session().run(Query(metric).with_case(c)).as<Row>(0);
 }
 
-TEST(Integration, NominalTdSimulationExceedsLumpedFormula)
-{
-    // Table II's qualitative content at small n.
-    const auto row = run_single<core::Nominal_td_row>(
-        Metric::nominal_td, {tech::Patterning_option::euv, 16});
-    EXPECT_GT(row.td_simulation, row.td_formula);
-    EXPECT_LT(row.td_simulation, 6.0 * row.td_formula);
-    // Magnitudes in the paper's ballpark (sim 5.59 ps at 10x16).
-    EXPECT_GT(row.td_simulation, 2e-12);
-    EXPECT_LT(row.td_simulation, 20e-12);
-}
-
 TEST(Integration, WorstCaseReadPenaltyLe3)
 {
     // Fig. 4 / Table III at 10x16: LE3 in the 12-22% band.
@@ -54,18 +42,6 @@ TEST(Integration, WorstCaseReadPenaltySadpAndEuvAreSmall)
         Metric::read_td, {tech::Patterning_option::euv, 16});
     EXPECT_LT(std::abs(sadp.tdp_percent), 3.0);
     EXPECT_LT(std::abs(euv.tdp_percent), 3.0);
-}
-
-TEST(Integration, FormulaTracksSimulationAtSmallN)
-{
-    // Table III: formula vs simulation agree within a few points at
-    // small n for every option.
-    for (const auto option : tech::all_patterning_options) {
-        const auto row = run_single<core::Tdp_row>(Metric::worst_case_tdp,
-                                                   {option, 16});
-        EXPECT_NEAR(row.tdp_formula, row.tdp_simulation, 6.0)
-            << tech::to_string(option);
-    }
 }
 
 TEST(Integration, SadpSimDivergesAboveFormulaAtLargeN)

@@ -1,7 +1,8 @@
 // Paper anchors (`ctest -L paper-anchors`): the DATE'15 numbers and
 // orderings the reproduction must keep — Table I's LE3/SADP/EUV worst-case
-// rows, the overlay-budget scaling of LE3, Fig. 5's "LE3 @ 8 nm sigma more
-// than 2x SADP", and the paper's array shape and victim pair.
+// rows, the overlay-budget scaling of LE3, Table II's simulated-vs-formula
+// td ballpark, Fig. 5's "LE3 @ 8 nm sigma more than 2x SADP", and the
+// paper's array shape and victim pair.
 #include "core/session.h"
 
 #include <gtest/gtest.h>
@@ -90,6 +91,35 @@ TEST(PaperAnchors, OlOverrideIgnoredForSingleMaskOptions)
     const auto a = worst_case(tech::Patterning_option::euv, 3e-9);
     const auto b = worst_case(tech::Patterning_option::euv, 8e-9);
     EXPECT_NEAR(a.cbl_percent, b.cbl_percent, 1e-12);
+}
+
+TEST(PaperAnchors, NominalTdSimulationExceedsLumpedFormula)
+{
+    // Table II's qualitative content at small n.
+    const auto row = session()
+                         .run(Query(Metric::nominal_td)
+                                  .with_case({tech::Patterning_option::euv,
+                                              16}))
+                         .as<core::Nominal_td_row>(0);
+    EXPECT_GT(row.td_simulation, row.td_formula);
+    EXPECT_LT(row.td_simulation, 6.0 * row.td_formula);
+    // Magnitudes in the paper's ballpark (sim 5.59 ps at 10x16).
+    EXPECT_GT(row.td_simulation, 2e-12);
+    EXPECT_LT(row.td_simulation, 20e-12);
+}
+
+TEST(PaperAnchors, FormulaTracksSimulationAtSmallN)
+{
+    // Table III: formula vs simulation agree within a few points at
+    // small n for every option.
+    for (const auto option : tech::all_patterning_options) {
+        const auto row = session()
+                             .run(Query(Metric::worst_case_tdp)
+                                      .with_case({option, 16}))
+                             .as<core::Tdp_row>(0);
+        EXPECT_NEAR(row.tdp_formula, row.tdp_simulation, 6.0)
+            << tech::to_string(option);
+    }
 }
 
 TEST(PaperAnchors, DecomposedArrayHasPaperShape)

@@ -248,8 +248,8 @@ TEST(WriteSim, CommitStopKeepsTwBitIdentical)
                 spice::crossing_time(full, q, 0.5 * net.vdd, t_ref);
             const double t_commit =
                 spice::crossing_time(full, q, stop_opts.stop->level, t_ref);
-            // The full window flips under both readings of the word: q
-            // commits, and q ends above vdd/2.
+            // On the full window q both commits and ends above vdd/2, so
+            // flipped holds under either reading.
             const bool full_flipped = t_flip >= 0.0 && t_commit >= 0.0 &&
                                       full.final_value(q) > 0.5 * net.vdd;
             EXPECT_EQ(w.flipped, full_flipped);
@@ -274,9 +274,11 @@ TEST(WriteSim, CommitStopKeepsTwBitIdentical)
 
 TEST(WriteSim, WriteTooWeakToCommitRunsToWindowEnd)
 {
-    // A write driver scaled far down cannot pull BLB low enough to flip
-    // the cell: the stop never fires, the run integrates to tstop with
-    // the full run's counters, and the write reports not flipped.
+    // The cell's pull-down parameters also size the write driver
+    // (netlist_builder.cpp); at 5% of their beta the driver cannot pull
+    // BLB low enough to flip the cell: the stop never fires, the run
+    // integrates to tstop with the full run's counters, and the write
+    // reports not flipped.
     Fixture f(16);
     sram::Cell_electrical weak = f.cell;
     weak.pull_down.beta *= 0.05;
