@@ -316,4 +316,142 @@ TEST(MosfetStamp, DrivenGateCircuitMatchesPinnedValues)
     }
 }
 
+/// One element of every kind the MNA system assembles, each in the role
+/// the SRAM netlists leave out: a pulse current source (nonzero in DC), a
+/// floating voltage source (a branch row), a floating capacitor, a static
+/// resistor, a resistor with a driven column, and a MOSFET with a driven
+/// gate.
+Circuit every_kind_circuit()
+{
+    Circuit c;
+    const Node vdd = c.node("vdd");
+    const Node in = c.node("in");
+    const Node out = c.node("out");
+    const Node top = c.node("top");
+    const Node mid = c.node("mid");
+    c.add_voltage_source("Vdd", vdd, ground_node, Waveform::dc(0.7));
+    c.add_voltage_source("Vin", in, ground_node,
+                         Waveform::pulse(0.0, 0.7, 40e-12, 20e-12));
+    c.add_resistor("Rpull", vdd, out, 20e3);
+    c.add_current_source("Ipulse", ground_node, out,
+                         Waveform::pulse(2e-6, 12e-6, 60e-12, 20e-12,
+                                         40e-12, 20e-12));
+    c.add_mosfet("Mn", out, in, ground_node, nmos());
+    c.add_capacitor("Cout", out, ground_node, 0.2e-15);
+    c.add_capacitor("Cf", out, top, 0.3e-15);
+    c.add_voltage_source("Vf", top, mid,
+                         Waveform::pulse(0.1, 0.3, 100e-12, 20e-12));
+    c.add_resistor("Rmid", mid, ground_node, 50e3);
+    c.add_capacitor("Cmid", mid, ground_node, 0.1e-15);
+    return c;
+}
+
+TEST(ElementStamps, EveryKindCircuitMatchesPinnedValues)
+{
+    // Printed at %.17g while every element kind was still stamped through
+    // the virtual device interface; the assembly must reproduce them bit
+    // for bit on both solver tiers, DC operating point and a 20-step
+    // transient.
+    const double dc_direct[] = {
+        0, 0.69999999999999996, 0, 0.73998973079432429, 0.099999995000000508,
+        -4.9999995000000496e-09,
+    };
+    const double out_direct[] = {
+        0.73998973079432429, 0.73998973079432417, 0.73998973079432406,
+        0.73998973079432395, 0.73998973079432395, 0.70995702801055849,
+        0.37339165489903259, 0.25210107526277442, 0.23594226745377539,
+        0.24786488124939751, 0.24883240351437058, 0.25567980095910919,
+        0.26043654060175342, 0.21960553639999636, 0.18195025739937379,
+        0.17504260226683521, 0.17190147937931821, 0.17113675275810181,
+        0.1700539268873153, 0.16969849964148151, 0.1693123183581639,
+    };
+    const double top_direct[] = {
+        0.099999995000000508, 0.099999995000000522, 0.099999995000000619,
+        0.099999995000000674, 0.099999995000000647, 0.084983644108662951,
+        -0.1109490348824098, -0.10127797469713642, -0.03046206486888052,
+        0.018986598019004115, 0.051972472751204937, 0.1214053465096611,
+        0.19569725034933128, 0.210049329463698, 0.22343642760813012,
+        0.24550378765569117, 0.26541759464247683, 0.27879171592856999,
+        0.28662532872632912, 0.29176193532055184, 0.29482544669059285,
+    };
+    const double mid_direct[] = {
+        -4.9999995000000496e-09, -4.9999994941685181e-09,
+        -4.999999384960231e-09, -4.9999993355904921e-09,
+        -4.9999993655498489e-09, -0.015016355891337062, -0.21094903488240982,
+        -0.20127797469713643, -0.13046206486888054, -0.081013401980995908,
+        -0.048027527248795075, -0.078594653490338978, -0.10430274965066871,
+        -0.089950670536301985, -0.076563572391869894, -0.054496212344308827,
+        -0.034582405357523154, -0.021208284071429974, -0.013374671273670865,
+        -0.0082380646794481052, -0.0051745533094071355,
+    };
+    const double dc_bypass[] = {
+        0, 0.69999999999999996, 0, 0.73998973079432429, 0.099999995000000508,
+        -4.9999995000000496e-09,
+    };
+    const double out_bypass[] = {
+        0.73998973079432429, 0.73998973079432429, 0.73998973079432429,
+        0.73998973079432429, 0.73998973079432429, 0.7099570280105586,
+        0.37339165478192704, 0.25210104573315945, 0.2359422527482431,
+        0.24786487748461639, 0.24883240357398201, 0.25567980056884931,
+        0.26043653705949149, 0.21960552730767921, 0.18195018786804126,
+        0.17504257972549148, 0.17190147849579873, 0.17113675158797217,
+        0.17005392665589339, 0.1696984992401295, 0.16931231849077652,
+    };
+    const double top_bypass[] = {
+        0.099999995000000508, 0.099999995000000508, 0.099999995000000508,
+        0.099999995000000508, 0.099999995000000508, 0.084983644108662701,
+        -0.1109490349526735, -0.1012779894502331, -0.030462064826288583,
+        0.018986603517774148, 0.051972478345102227, 0.12140535001399018,
+        0.19569725056072737, 0.21004932682960117, 0.22343638976426355,
+        0.24550378592144129, 0.26541760659662123, 0.27879172292909016,
+        0.28662533348986563, 0.29176193807671558, 0.29482544866466981,
+    };
+    const double mid_bypass[] = {
+        -4.9999995000000496e-09, -4.9999995000000496e-09,
+        -4.9999995000000496e-09, -4.9999995000000496e-09,
+        -4.9999995000000496e-09, -0.01501635589133731, -0.2109490349526735,
+        -0.20127798945023309, -0.13046206482628858, -0.081013396482225858,
+        -0.048027521654897785, -0.078594649986009887, -0.10430274943927262,
+        -0.089950673170398801, -0.076563610235736421, -0.054496214078558723,
+        -0.034582393403378736, -0.02120827707090981, -0.013374666510134329,
+        -0.0082380619232844277, -0.0051745513353301624,
+    };
+    struct Pinned {
+        Solver_policy solver;
+        std::span<const double> dc;
+        std::span<const double> waves[3];
+        long long newton_iterations;
+        long long evaluations;
+    };
+    const Pinned runs[] = {
+        {Solver_policy::direct, dc_direct,
+         {out_direct, top_direct, mid_direct}, 57, 117},
+        {Solver_policy::bypass, dc_bypass,
+         {out_bypass, top_bypass, mid_bypass}, 53, 92},
+    };
+    for (const Pinned& pin : runs) {
+        SCOPED_TRACE(pin.solver == Solver_policy::direct ? "direct"
+                                                         : "bypass");
+        Circuit c = every_kind_circuit();
+        Dc_options dc;
+        dc.newton.solver = pin.solver;
+        expect_bitwise(dc_operating_point(c, dc).voltages, pin.dc, "dc");
+
+        Transient_options opts;
+        opts.tstop = 200e-12;
+        opts.nominal_steps = 20;
+        opts.newton.solver = pin.solver;
+        const Transient_result r = run_transient(
+            c, {c.find_node("out"), c.find_node("top"), c.find_node("mid")},
+            opts);
+        const char* names[] = {"out", "top", "mid"};
+        for (int p = 0; p < 3; ++p) {
+            expect_bitwise(r.waveform(names[p]).ys(), pin.waves[p],
+                           names[p]);
+        }
+        EXPECT_EQ(r.steps().newton_iterations, pin.newton_iterations);
+        EXPECT_EQ(r.steps().device_evaluations, pin.evaluations);
+    }
+}
+
 } // namespace
