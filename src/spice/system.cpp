@@ -103,7 +103,7 @@ inline void Mna_system::store(std::int32_t value, std::int32_t target,
     unsigned char& flags = target_flags_[static_cast<std::size_t>(target)];
     if (!(flags & dirty_flag)) {
         flags |= dirty_flag;
-        dirty_.push_back(target);
+        dirty_[dirty_count_++] = target;
     }
 }
 
@@ -463,7 +463,7 @@ void Mna_system::build_fold_index()
     for (const int s : diag_slot_) {
         target_flags_[static_cast<std::size_t>(s)] |= gmin_flag;
     }
-    dirty_.reserve(targets);
+    dirty_.assign(targets, 0);
 }
 
 void Mna_system::schedule()
@@ -831,9 +831,9 @@ void Mna_system::fold(const Eval_context& ctx,
             }
         }
     } else {
-        for (const std::int32_t t : dirty_) store(t);
+        for (std::size_t k = 0; k < dirty_count_; ++k) store(dirty_[k]);
     }
-    dirty_.clear();
+    dirty_count_ = 0;
 
     // Floating-source branch equations: v(pos) - v(neg) = value(t), with
     // known terminal voltages moved to the RHS.

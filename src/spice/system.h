@@ -310,7 +310,10 @@ private:
     static constexpr unsigned char dirty_flag = 1;
     static constexpr unsigned char gmin_flag = 2;  ///< node diagonal slot
     std::vector<unsigned char> target_flags_;
+    /// Dirty targets in marking order, [0, dirty_count_); sized to the
+    /// target count, since each target is marked at most once per fold.
     std::vector<std::int32_t> dirty_;
+    std::size_t dirty_count_ = 0;
     std::vector<int> diag_slot_;  ///< node unknown -> diagonal slot
 
     // Schedule (device indices).  The per-step and always lists hold the
