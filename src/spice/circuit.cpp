@@ -45,72 +45,72 @@ void Circuit::check_node(Node n) const
                   "device references an unknown node");
 }
 
-void Circuit::check_name(const std::string& name)
+template <typename T, typename... Args>
+T& Circuit::add(std::deque<T>& records, Element_kind kind, std::string name,
+                Args&&... args)
 {
     util::expects(!name.empty(), "device name must be non-empty");
-    if (!device_names_.insert(name).second) {
+    if (!element_names_.insert(name).second) {
         throw Netlist_error("duplicate device name: " + name);
     }
-}
-
-template <typename T, typename... Args>
-T& Circuit::add_device(Args&&... args)
-{
-    auto dev = std::make_unique<T>(std::forward<Args>(args)...);
-    T& ref = *dev;
-    for (Node n : ref.nodes()) check_node(n);
-    devices_.push_back(std::move(dev));
-    return ref;
+    T& record =
+        records.emplace_back(std::move(name), std::forward<Args>(args)...);
+    elements_.push_back({kind, static_cast<std::int32_t>(records.size() - 1)});
+    return record;
 }
 
 Resistor& Circuit::add_resistor(std::string name, Node a, Node b, double ohms)
 {
-    check_name(name);
-    return add_device<Resistor>(std::move(name), a, b, ohms);
+    check_node(a);
+    check_node(b);
+    return add(resistors_, Element_kind::resistor, std::move(name), a, b,
+               ohms);
 }
 
 Capacitor& Circuit::add_capacitor(std::string name, Node a, Node b,
                                   double farads)
 {
-    check_name(name);
-    return add_device<Capacitor>(std::move(name), a, b, farads);
+    check_node(a);
+    check_node(b);
+    return add(capacitors_, Element_kind::capacitor, std::move(name), a, b,
+               farads);
 }
 
 Current_source& Circuit::add_current_source(std::string name, Node from,
                                             Node to, Waveform w)
 {
-    check_name(name);
-    return add_device<Current_source>(std::move(name), from, to, std::move(w));
+    check_node(from);
+    check_node(to);
+    return add(current_sources_, Element_kind::current_source,
+               std::move(name), from, to, std::move(w));
 }
 
 Voltage_source& Circuit::add_voltage_source(std::string name, Node pos,
                                             Node neg, Waveform w)
 {
-    check_name(name);
-    auto& src =
-        add_device<Voltage_source>(std::move(name), pos, neg, std::move(w));
-    vsources_.push_back(&src);
-    return src;
+    check_node(pos);
+    check_node(neg);
+    return add(voltage_sources_, Element_kind::voltage_source,
+               std::move(name), pos, neg, std::move(w));
 }
 
 Mosfet& Circuit::add_mosfet(std::string name, Node drain, Node gate,
                             Node source, Mosfet_params params,
                             double multiplicity)
 {
-    check_name(name);
-    return add_device<Mosfet>(std::move(name), drain, gate, source, params,
-                              multiplicity);
+    check_node(drain);
+    check_node(gate);
+    check_node(source);
+    return add(mosfets_, Element_kind::mosfet, std::move(name), drain, gate,
+               source, params, multiplicity);
 }
 
 double Circuit::node_capacitance(Node n) const
 {
     double total = 0.0;
-    for (const auto& dev : devices_) {
-        const auto* cap = dynamic_cast<const Capacitor*>(dev.get());
-        if (cap == nullptr) continue;
-        for (Node dn : cap->nodes()) {
-            if (dn == n) total += cap->capacitance();
-        }
+    for (const Capacitor& cap : capacitors_) {
+        if (cap.a() == n) total += cap.capacitance();
+        if (cap.b() == n) total += cap.capacitance();
     }
     return total;
 }

@@ -1,8 +1,12 @@
-// Circuit database: named nodes plus an owned list of devices.
+// Circuit database: named nodes plus typed records of the closed element
+// set (spice/device.h), one list per kind and one list of every element in
+// insertion order.  Record addresses stay stable as elements are added, so
+// callers may keep the references add_* returns for value edits.
 #ifndef MPSRAM_SPICE_CIRCUIT_H
 #define MPSRAM_SPICE_CIRCUIT_H
 
-#include <memory>
+#include <cstdint>
+#include <deque>
 #include <string>
 #include <unordered_map>
 #include <unordered_set>
@@ -14,9 +18,29 @@
 
 namespace mpsram::spice {
 
+enum class Element_kind : std::uint8_t {
+    resistor,
+    capacitor,
+    current_source,
+    voltage_source,
+    mosfet,
+};
+
+/// One element in insertion order: its kind and its index in that kind's
+/// record list.
+struct Element {
+    Element_kind kind;
+    std::int32_t index;
+};
+
 class Circuit {
 public:
     Circuit();
+
+    Circuit(const Circuit&) = delete;
+    Circuit& operator=(const Circuit&) = delete;
+    Circuit(Circuit&&) = default;
+    Circuit& operator=(Circuit&&) = default;
 
     /// Get-or-create a named node.  "0" and "gnd" are the ground node.
     Node node(const std::string& name);
@@ -37,34 +61,40 @@ public:
     Mosfet& add_mosfet(std::string name, Node drain, Node gate, Node source,
                        Mosfet_params params, double multiplicity = 1.0);
 
-    const std::vector<std::unique_ptr<Device>>& devices() const
-    {
-        return devices_;
-    }
-    std::vector<std::unique_ptr<Device>>& devices() { return devices_; }
+    const std::vector<Element>& elements() const { return elements_; }
+    std::size_t device_count() const { return elements_.size(); }
 
-    const std::vector<Voltage_source*>& voltage_sources() const
+    const std::deque<Resistor>& resistors() const { return resistors_; }
+    const std::deque<Capacitor>& capacitors() const { return capacitors_; }
+    const std::deque<Current_source>& current_sources() const
     {
-        return vsources_;
+        return current_sources_;
     }
-
-    std::size_t device_count() const { return devices_.size(); }
+    const std::deque<Voltage_source>& voltage_sources() const
+    {
+        return voltage_sources_;
+    }
+    const std::deque<Mosfet>& mosfets() const { return mosfets_; }
 
     /// Total capacitance attached to a node (diagnostics/tests).
     double node_capacitance(Node n) const;
 
 private:
     template <typename T, typename... Args>
-    T& add_device(Args&&... args);
+    T& add(std::deque<T>& records, Element_kind kind, std::string name,
+           Args&&... args);
 
     void check_node(Node n) const;
-    void check_name(const std::string& name);
 
     std::vector<std::string> node_names_;
     std::unordered_map<std::string, Node> node_index_;
-    std::vector<std::unique_ptr<Device>> devices_;
-    std::unordered_set<std::string> device_names_;
-    std::vector<Voltage_source*> vsources_;
+    std::unordered_set<std::string> element_names_;
+    std::vector<Element> elements_;
+    std::deque<Resistor> resistors_;
+    std::deque<Capacitor> capacitors_;
+    std::deque<Current_source> current_sources_;
+    std::deque<Voltage_source> voltage_sources_;
+    std::deque<Mosfet> mosfets_;
 };
 
 } // namespace mpsram::spice

@@ -36,34 +36,48 @@ void write_spice(const Circuit& circuit, std::ostream& out,
         return circuit.node_name(n);
     };
 
-    for (const auto& dev : circuit.devices()) {
-        if (const auto* r = dynamic_cast<const Resistor*>(dev.get())) {
-            out << r->name() << ' ' << node(r->nodes()[0]) << ' '
-                << node(r->nodes()[1]) << ' ' << r->resistance() << '\n';
-        } else if (const auto* c =
-                       dynamic_cast<const Capacitor*>(dev.get())) {
-            out << c->name() << ' ' << node(c->nodes()[0]) << ' '
-                << node(c->nodes()[1]) << ' ' << c->capacitance() << '\n';
-        } else if (const auto* v =
-                       dynamic_cast<const Voltage_source*>(dev.get())) {
-            out << v->name() << ' ' << node(v->pos()) << ' '
-                << node(v->neg()) << ' ';
-            write_waveform(out, v->wave());
+    for (const Element& e : circuit.elements()) {
+        const auto i = static_cast<std::size_t>(e.index);
+        switch (e.kind) {
+        case Element_kind::resistor: {
+            const Resistor& r = circuit.resistors()[i];
+            out << r.name() << ' ' << node(r.a()) << ' ' << node(r.b())
+                << ' ' << r.resistance() << '\n';
+            break;
+        }
+        case Element_kind::capacitor: {
+            const Capacitor& c = circuit.capacitors()[i];
+            out << c.name() << ' ' << node(c.a()) << ' ' << node(c.b())
+                << ' ' << c.capacitance() << '\n';
+            break;
+        }
+        case Element_kind::voltage_source: {
+            const Voltage_source& v = circuit.voltage_sources()[i];
+            out << v.name() << ' ' << node(v.pos()) << ' ' << node(v.neg())
+                << ' ';
+            write_waveform(out, v.wave());
             out << '\n';
-        } else if (const auto* i =
-                       dynamic_cast<const Current_source*>(dev.get())) {
-            out << i->name() << ' ' << node(i->nodes()[0]) << ' '
-                << node(i->nodes()[1]) << ' ';
-            write_waveform(out, i->wave());
+            break;
+        }
+        case Element_kind::current_source: {
+            const Current_source& s = circuit.current_sources()[i];
+            out << s.name() << ' ' << node(s.from()) << ' ' << node(s.to())
+                << ' ';
+            write_waveform(out, s.wave());
             out << '\n';
-        } else if (const auto* m = dynamic_cast<const Mosfet*>(dev.get())) {
-            const char* model =
-                m->params().type == Mosfet_type::nmos ? "nmos_ekv"
-                                                      : "pmos_ekv";
-            out << m->name() << ' ' << node(m->drain()) << ' '
-                << node(m->gate()) << ' ' << node(m->source()) << ' '
+            break;
+        }
+        case Element_kind::mosfet: {
+            const Mosfet& m = circuit.mosfets()[i];
+            const char* model = m.params().type == Mosfet_type::nmos
+                                    ? "nmos_ekv"
+                                    : "pmos_ekv";
+            out << m.name() << ' ' << node(m.drain()) << ' '
+                << node(m.gate()) << ' ' << node(m.source()) << ' '
                 << node(ground_node) << ' ' << model
-                << " m=" << m->multiplicity() << '\n';
+                << " m=" << m.multiplicity() << '\n';
+            break;
+        }
         }
     }
 

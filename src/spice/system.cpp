@@ -1,9 +1,11 @@
 #include "spice/system.h"
 
 #include <algorithm>
+#include <array>
 #include <bit>
 #include <cmath>
 #include <cstdint>
+#include <iterator>
 #include <limits>
 
 #include "spice/exceptions.h"
@@ -12,238 +14,68 @@
 
 namespace mpsram::spice {
 
-// --- binding ----------------------------------------------------------------
-
-/// Compile-time recorder.  Pattern pass: collects the (row, col) matrix
-/// positions devices touch.  Bind pass: appends one op per stamp call.
-/// Verify pass (DC): checks that a device's DC calls route exactly like
-/// its bound (transient) ops, and counts them.
-class Mna_system::Binder final : public Stamper {
-public:
-    enum class Pass { pattern, bind, verify };
-
-    Binder(Mna_system& sys, Pass pass) : sys_(&sys), pass_(pass) {}
-
-    std::vector<std::pair<int, int>> entries;  ///< pattern pass output
-
-    /// Start a device whose bound ops begin at `op` (verify pass).
-    void begin(std::int32_t op, std::int32_t end)
-    {
-        op_ = op;
-        end_ = end;
-        calls_ = 0;
-        matches_ = true;
-    }
-    std::int32_t calls() const { return calls_; }
-    bool matches() const { return matches_; }
-
-    void jacobian(Node eq, Node wrt, double) override
-    {
-        switch (pass_) {
-        case Pass::pattern: {
-            const int row = sys_->solve_index_[static_cast<std::size_t>(eq)];
-            const int col =
-                sys_->solve_index_[static_cast<std::size_t>(wrt)];
-            if (row >= 0 && col >= 0) entries.push_back({row, col});
-            break;
-        }
-        case Pass::bind:
-            sys_->ops_.push_back(sys_->bind_jacobian(eq, wrt));
-            break;
-        case Pass::verify:
-            verify(sys_->is_bound_jacobian(next(), eq, wrt));
-            break;
-        }
-    }
-
-    void rhs(Node eq, double) override
-    {
-        switch (pass_) {
-        case Pass::pattern:
-            break;
-        case Pass::bind:
-            sys_->ops_.push_back(sys_->bind_rhs(eq));
-            break;
-        case Pass::verify:
-            verify(sys_->is_bound_rhs(next(), eq));
-            break;
-        }
-    }
-
-private:
-    /// Verify pass: the bound op this call should match (drop past the
-    /// device's end, which fails the count check instead).
-    std::int32_t next()
-    {
-        ++calls_;
-        return op_ < end_ ? sys_->ops_[static_cast<std::size_t>(op_++)]
-                          : drop_op;
-    }
-    void verify(bool bound) { matches_ = matches_ && bound; }
-
-    Mna_system* sys_;
-    Pass pass_;
-    std::int32_t op_ = 0;
-    std::int32_t end_ = 0;
-    std::int32_t calls_ = 0;
-    bool matches_ = true;
-};
-
-/// Store one stamp value into slab entry `value`, marking fold target
-/// `target` dirty when the stored bits change.
-inline void Mna_system::store(std::int32_t value, std::int32_t target,
-                              double v)
-{
-    double& slot = values_[static_cast<std::size_t>(value)];
-    if (std::bit_cast<std::uint64_t>(slot) ==
-        std::bit_cast<std::uint64_t>(v)) {
-        return;
-    }
-    slot = v;
-    unsigned char& flags = target_flags_[static_cast<std::size_t>(target)];
-    if (!(flags & dirty_flag)) {
-        flags |= dirty_flag;
-        dirty_[dirty_count_++] = target;
-    }
-}
-
-/// Runtime stamper: replays a device's bound ops, storing each stamp
-/// value into its slab entry.  Virtual for Device::stamp; the MOSFET bank
-/// calls it through its final type, without dispatch.
-class Mna_system::Value_writer final : public Stamper {
-public:
-    Value_writer(Mna_system& sys, const double* voltages)
-        : sys_(&sys),
-          ops_(sys.ops_.data()),
-          op_value_(sys.op_value_.data()),
-          voltages_(voltages)
-    {
-    }
-
-    /// Start replaying the bound ops of `device`.
-    void begin(std::int32_t device)
-    {
-        const auto d = static_cast<std::size_t>(device);
-        op_ = sys_->device_op_[d];
-        end_ = sys_->device_op_[d + 1];
-    }
-    /// True once every bound op of the device has been replayed.
-    bool done() const { return op_ == end_; }
-
-    void jacobian(Node eq, Node wrt, double g) final
-    {
-        // A NaN-poisoned stamp caught here names the exact (eq, wrt)
-        // entry; downstream it would surface as an unrelated
-        // Convergence_error (NaN never satisfies the pivot floor or the
-        // tolerance test) long after the cause.
-        MPSRAM_ASSERT(std::isfinite(g), "non-finite Jacobian stamp",
-                      MPSRAM_VAL(g), MPSRAM_VAL(eq), MPSRAM_VAL(wrt));
-        MPSRAM_ASSERT(op_ < end_ &&
-                          sys_->is_bound_jacobian(ops_[op_], eq, wrt),
-                      "stamp call does not match its bound op",
-                      MPSRAM_VAL(eq), MPSRAM_VAL(wrt), MPSRAM_VAL(op_));
-        const std::int32_t value = op_value_[op_];
-        const std::int32_t op = ops_[op_++];
-        if (op >= 0) {
-            sys_->store(value, op, g);
-        } else if (op != drop_op) {
-            // Known voltage: move to the RHS.
-            const Driven_op& d =
-                sys_->driven_ops_[static_cast<std::size_t>(-2 - op)];
-            sys_->store(value, d.target, -g * voltages_[d.node]);
-        }
-    }
-
-    void rhs(Node eq, double value) final
-    {
-        MPSRAM_ASSERT(std::isfinite(value), "non-finite RHS stamp",
-                      MPSRAM_VAL(value), MPSRAM_VAL(eq));
-        MPSRAM_ASSERT(op_ < end_ && sys_->is_bound_rhs(ops_[op_], eq),
-                      "stamp call does not match its bound op",
-                      MPSRAM_VAL(eq), MPSRAM_VAL(op_));
-        const std::int32_t op = ops_[op_];
-        if (op >= 0) sys_->store(op_value_[op_], op, value);
-        ++op_;
-    }
-
-    /// Store +0.0 into every value of `device` (open in this mode).
-    void zero(std::int32_t device)
-    {
-        for (begin(device); op_ < end_; ++op_) {
-            const std::int32_t op = ops_[op_];
-            if (op != drop_op) {
-                sys_->store(op_value_[op_], sys_->target_of(op), 0.0);
-            }
-        }
-    }
-
-private:
-    Mna_system* sys_;
-    const std::int32_t* ops_;
-    const std::int32_t* op_value_;
-    const double* voltages_;
-    std::int32_t op_ = 0;
-    std::int32_t end_ = 0;
-};
-
-// --- Mna_system ---------------------------------------------------------------
-
-Mna_system::Mna_system(Circuit& circuit) : circuit_(&circuit)
-{
-    classify();
-    compile();
-}
-
-void Mna_system::classify()
-{
-    const std::size_t n_nodes = circuit_->node_count();
-    solve_index_.assign(n_nodes, -2);  // -2: unclassified
-    solve_index_[ground_node] = -1;
-
-    // Driven nodes from grounded sources.
-    for (const Voltage_source* src : circuit_->voltage_sources()) {
-        if (!src->grounded()) continue;
-        const Node pos = src->pos();
-        if (pos == ground_node) {
-            throw Netlist_error("voltage source " + src->name() +
-                                " shorts ground to ground");
-        }
-        if (solve_index_[static_cast<std::size_t>(pos)] == -1) {
-            throw Netlist_error("node " + circuit_->node_name(pos) +
-                                " driven by multiple voltage sources");
-        }
-        solve_index_[static_cast<std::size_t>(pos)] = -1;
-        driven_.push_back({pos, src});
-    }
-
-    // Remaining nodes become unknowns, in node order (which follows the
-    // netlist build order and therefore the physical structure).
-    for (std::size_t n = 0; n < n_nodes; ++n) {
-        if (solve_index_[n] == -2) {
-            solve_index_[n] = static_cast<int>(unknown_nodes_.size());
-            unknown_nodes_.push_back(static_cast<Node>(n));
-        }
-    }
-
-    // Floating sources get branch unknowns after the node unknowns.
-    int next = static_cast<int>(unknown_nodes_.size());
-    for (const Voltage_source* src : circuit_->voltage_sources()) {
-        if (src->grounded()) continue;
-        branches_.push_back({src, next++});
-    }
-
-    total_unknowns_ =
-        unknown_nodes_.size() + branches_.size();
-    util::ensures(total_unknowns_ > 0, "circuit has no unknowns to solve");
-
-    nonlinear_ = std::any_of(
-        circuit_->devices().begin(), circuit_->devices().end(),
-        [](const auto& d) { return d->is_nonlinear(); });
-
-    branch_currents_.assign(branches_.size(), 0.0);
-}
-
 namespace {
+
+// --- stamp tables -------------------------------------------------------------
+
+/// One stamp entry of an element kind, as indices into the element's
+/// terminals: the Jacobian entry (eq, wrt), or the RHS row of eq when wrt
+/// is rhs_row.
+struct Stamp_entry {
+    std::int8_t eq;
+    std::int8_t wrt;
+};
+constexpr std::int8_t rhs_row = -1;
+
+/// (a, b): conductance g between a and b — +g on (a, a) and (b, b), -g
+/// on (a, b) and (b, a).
+constexpr Stamp_entry resistor_stamps[] = {{0, 0}, {1, 1}, {0, 1}, {1, 0}};
+/// (a, b): the companion conductance, as a resistor's, then the history
+/// source into a and out of b.
+constexpr Stamp_entry capacitor_stamps[] = {
+    {0, 0}, {1, 1}, {0, 1}, {1, 0}, {0, rhs_row}, {1, rhs_row},
+};
+/// (from, to): the current into `to`, then out of `from`.
+constexpr Stamp_entry current_source_stamps[] = {{1, rhs_row},
+                                                 {0, rhs_row}};
+/// (drain, gate, source): gds, gm, gms on the drain row and their
+/// negations on the source row, then the drain and source RHS rows.
+constexpr Stamp_entry mosfet_stamps[] = {
+    {0, 0}, {0, 1}, {0, 2}, {2, 0}, {2, 1}, {2, 2}, {0, rhs_row}, {2, rhs_row},
+};
+
+/// An element's terminals and the stamp entries of its kind.  Voltage
+/// sources have none: the system handles them structurally.
+struct Element_stamps {
+    std::array<Node, 3> nodes{};
+    std::span<const Stamp_entry> entries;
+};
+
+Element_stamps stamps_of(const Circuit& c, const Element& e)
+{
+    const auto i = static_cast<std::size_t>(e.index);
+    switch (e.kind) {
+    case Element_kind::resistor: {
+        const Resistor& r = c.resistors()[i];
+        return {{r.a(), r.b(), ground_node}, resistor_stamps};
+    }
+    case Element_kind::capacitor: {
+        const Capacitor& cap = c.capacitors()[i];
+        return {{cap.a(), cap.b(), ground_node}, capacitor_stamps};
+    }
+    case Element_kind::current_source: {
+        const Current_source& src = c.current_sources()[i];
+        return {{src.from(), src.to(), ground_node}, current_source_stamps};
+    }
+    case Element_kind::mosfet: {
+        const Mosfet& m = c.mosfets()[i];
+        return {{m.drain(), m.gate(), m.source()}, mosfet_stamps};
+    }
+    case Element_kind::voltage_source:
+        break;
+    }
+    return {};
+}
 
 /// Bitwise equality of two MOSFET models: the bank shares one table entry
 /// only between models that evaluate identically (+0.0 and -0.0 differ).
@@ -260,7 +92,7 @@ bool same_model(const Mosfet_params& a, double ma, const Mosfet_params& b,
 }
 
 /// Device-level bypass drift check: true when every terminal nodes[j]
-/// stayed within vtol of v_eval[j], its voltage at the device's last
+/// stayed within vtol of v_eval[j], its voltage at the element's last
 /// recorded evaluation (NaN: none).  Branch-free: no early exit.
 bool quiet(const double* v, const Node* nodes, const double* v_eval,
            std::size_t count, double vtol)
@@ -283,61 +115,114 @@ void record(const double* v, const Node* nodes, double* v_eval,
     }
 }
 
-/// Binding context: stamps only need the call sequence, so voltages are
-/// zero and the step is any positive value.
-Eval_context binding_context(Analysis_mode mode,
-                             const std::vector<double>& zeros)
-{
-    Eval_context ctx;
-    ctx.mode = mode;
-    ctx.method = Integration_method::backward_euler;
-    ctx.time = 0.0;
-    ctx.dt = mode == Analysis_mode::transient ? 1.0 : 0.0;
-    ctx.voltages = zeros.data();
-    return ctx;
-}
+} // namespace
 
-/// Stamp `dev` against a binding pass.  A capacitor's stamp() is a no-op
-/// (the bank evaluates it), so its six calls are issued here: conductance
-/// g between a and b in Stamper::conductance order, then the history
-/// source into a and out of b.
-void bind_stamp(const Device& dev, Stamper& s, const Eval_context& ctx)
+/// Store one stamp value into slab entry `value`, marking fold target
+/// `target` dirty when the stored bits change.
+inline void Mna_system::store(std::int32_t value, std::int32_t target,
+                              double v)
 {
-    if (dynamic_cast<const Capacitor*>(&dev) == nullptr) {
-        dev.stamp(s, ctx);
+    double& slot = values_[static_cast<std::size_t>(value)];
+    if (std::bit_cast<std::uint64_t>(slot) ==
+        std::bit_cast<std::uint64_t>(v)) {
         return;
     }
-    const Node a = dev.nodes()[0];
-    const Node b = dev.nodes()[1];
-    s.conductance(a, b, 0.0);
-    s.rhs(a, 0.0);
-    s.rhs(b, 0.0);
+    slot = v;
+    unsigned char& flags = target_flags_[static_cast<std::size_t>(target)];
+    if (!(flags & dirty_flag)) {
+        flags |= dirty_flag;
+        dirty_[dirty_count_++] = target;
+    }
 }
 
-} // namespace
+/// Store stamp value x through bound entry `op` (nothing for a drop); a
+/// driven column moves to the RHS as -x * v(column).
+inline void Mna_system::write(const Op& op, double x, const double* voltages)
+{
+    if (op.value < 0) return;
+    store(op.value, op.target,
+          op.driven == ground_node ? x : -x * voltages[op.driven]);
+}
+
+// --- compile ------------------------------------------------------------------
+
+Mna_system::Mna_system(const Circuit& circuit) : circuit_(&circuit)
+{
+    classify();
+    compile();
+}
+
+void Mna_system::classify()
+{
+    const std::size_t n_nodes = circuit_->node_count();
+    solve_index_.assign(n_nodes, -2);  // -2: unclassified
+    solve_index_[ground_node] = -1;
+
+    // Driven nodes from grounded sources.
+    for (const Voltage_source& src : circuit_->voltage_sources()) {
+        if (!src.grounded()) continue;
+        const Node pos = src.pos();
+        if (pos == ground_node) {
+            throw Netlist_error("voltage source " + src.name() +
+                                " shorts ground to ground");
+        }
+        if (solve_index_[static_cast<std::size_t>(pos)] == -1) {
+            throw Netlist_error("node " + circuit_->node_name(pos) +
+                                " driven by multiple voltage sources");
+        }
+        solve_index_[static_cast<std::size_t>(pos)] = -1;
+        driven_.push_back({pos, &src});
+    }
+
+    // Remaining nodes become unknowns, in node order (which follows the
+    // netlist build order and therefore the physical structure).
+    for (std::size_t n = 0; n < n_nodes; ++n) {
+        if (solve_index_[n] == -2) {
+            solve_index_[n] = static_cast<int>(unknown_nodes_.size());
+            unknown_nodes_.push_back(static_cast<Node>(n));
+        }
+    }
+
+    // Floating sources get branch unknowns after the node unknowns.
+    int next = static_cast<int>(unknown_nodes_.size());
+    for (const Voltage_source& src : circuit_->voltage_sources()) {
+        if (src.grounded()) continue;
+        branches_.push_back({&src, next++});
+    }
+
+    total_unknowns_ =
+        unknown_nodes_.size() + branches_.size();
+    util::ensures(total_unknowns_ > 0, "circuit has no unknowns to solve");
+
+    branch_currents_.assign(branches_.size(), 0.0);
+}
 
 void Mna_system::compile()
 {
-    const std::vector<double> zeros(circuit_->node_count(), 0.0);
-    const Eval_context tran =
-        binding_context(Analysis_mode::transient, zeros);
-
-    // Pattern: device entries plus the floating-source branch rows.
+    // Pattern: every element's Jacobian entries, in insertion order, plus
+    // the floating-source branch rows.
     {
-        Binder pattern(*this, Binder::Pass::pattern);
-        for (const auto& dev : circuit_->devices()) {
-            bind_stamp(*dev, pattern, tran);
+        std::vector<std::pair<int, int>> entries;
+        for (const Element& e : circuit_->elements()) {
+            const Element_stamps s = stamps_of(*circuit_, e);
+            for (const Stamp_entry& st : s.entries) {
+                if (st.wrt == rhs_row) continue;
+                const int row = solve_index_[static_cast<std::size_t>(
+                    s.nodes[static_cast<std::size_t>(st.eq)])];
+                const int col = solve_index_[static_cast<std::size_t>(
+                    s.nodes[static_cast<std::size_t>(st.wrt)])];
+                if (row >= 0 && col >= 0) entries.push_back({row, col});
+            }
         }
         for (const Branch& b : branches_) {
             for (const Node n : {b.source->pos(), b.source->neg()}) {
                 const int row = solve_index_[static_cast<std::size_t>(n)];
                 if (row < 0) continue;
-                pattern.entries.push_back({row, b.index});
-                pattern.entries.push_back({b.index, row});
+                entries.push_back({row, b.index});
+                entries.push_back({b.index, row});
             }
         }
-        matrix_ = std::make_unique<Sparse_matrix>(total_unknowns_,
-                                                  pattern.entries);
+        matrix_ = std::make_unique<Sparse_matrix>(total_unknowns_, entries);
     }
     lu_ = std::make_unique<Sparse_lu>(*matrix_);
     rhs_.assign(total_unknowns_, 0.0);
@@ -363,99 +248,139 @@ void Mna_system::compile()
         }
     }
 
-    bind_ops();
-    build_fold_index();
-    schedule();
-    bind_capacitors();
-    bind_mosfets();
+    bind_elements();
 }
 
-std::int32_t Mna_system::bind_jacobian(Node eq, Node wrt)
+/// Route one stamp entry — Jacobian entry (eq, wrt), or the RHS row of eq
+/// when `rhs` — and give a kept entry the next rank among its target's
+/// entries (bind_elements turns ranks into slab indices).
+Mna_system::Op Mna_system::bind(Node eq, Node wrt, bool rhs)
 {
+    Op op{-1, -1, ground_node};
     const int row = solve_index_[static_cast<std::size_t>(eq)];
-    const int col = solve_index_[static_cast<std::size_t>(wrt)];
-    // Ground or driven equation: dropped.  Ground column: -g * 0 would add
-    // a signed zero to a sum that starts at +0.0, an exact identity.
-    if (row < 0 || (col < 0 && wrt == ground_node)) return drop_op;
-    if (col >= 0) return matrix_->slot(row, col);
-    driven_ops_.push_back(
-        {static_cast<std::int32_t>(matrix_->nonzeros()) + row, wrt});
-    return -1 - static_cast<std::int32_t>(driven_ops_.size());
-}
-
-std::int32_t Mna_system::bind_rhs(Node eq) const
-{
-    const int row = solve_index_[static_cast<std::size_t>(eq)];
-    if (row < 0) return drop_op;
-    return static_cast<std::int32_t>(matrix_->nonzeros()) + row;
-}
-
-bool Mna_system::is_bound_jacobian(std::int32_t op, Node eq, Node wrt) const
-{
-    const int row = solve_index_[static_cast<std::size_t>(eq)];
-    const int col = solve_index_[static_cast<std::size_t>(wrt)];
-    if (row < 0 || (col < 0 && wrt == ground_node)) return op == drop_op;
-    if (col >= 0) {
-        const auto r = static_cast<std::size_t>(row);
-        return op >= matrix_->row_ptr()[r] &&
-               op < matrix_->row_ptr()[r + 1] &&
-               matrix_->cols()[static_cast<std::size_t>(op)] == col;
+    if (row < 0) return op;  // ground or driven equation: dropped
+    const auto rhs_target =
+        static_cast<std::int32_t>(matrix_->nonzeros()) + row;
+    if (rhs) {
+        op.target = rhs_target;
+    } else if (const int col = solve_index_[static_cast<std::size_t>(wrt)];
+               col >= 0) {
+        op.target = matrix_->slot(row, col);
+    } else if (wrt == ground_node) {
+        // -g * 0 would add a signed zero to a sum that starts at +0.0, an
+        // exact identity.
+        return op;
+    } else {
+        // Known voltage: -g * v(wrt) on the RHS.
+        op.target = rhs_target;
+        op.driven = wrt;
     }
-    if (op >= drop_op) return false;
-    const Driven_op& d = driven_ops_[static_cast<std::size_t>(-2 - op)];
-    return d.node == wrt &&
-           d.target == static_cast<std::int32_t>(matrix_->nonzeros()) + row;
+    op.value = fold_ptr_[static_cast<std::size_t>(op.target) + 1]++;
+    return op;
 }
 
-bool Mna_system::is_bound_rhs(std::int32_t op, Node eq) const
+void Mna_system::bind_elements()
 {
-    return op == bind_rhs(eq);
-}
-
-std::int32_t Mna_system::target_of(std::int32_t op) const
-{
-    if (op >= drop_op) return op;
-    return driven_ops_[static_cast<std::size_t>(-2 - op)].target;
-}
-
-void Mna_system::bind_ops()
-{
-    const auto& devices = circuit_->devices();
-    const std::vector<double> zeros(circuit_->node_count(), 0.0);
-    const Eval_context tran =
-        binding_context(Analysis_mode::transient, zeros);
-
-    Binder binder(*this, Binder::Pass::bind);
-    device_op_.assign(devices.size() + 1, 0);
-    for (std::size_t i = 0; i < devices.size(); ++i) {
-        bind_stamp(*devices[i], binder, tran);
-        device_op_[i + 1] = static_cast<std::int32_t>(ops_.size());
-    }
-    ops_.shrink_to_fit();
-    driven_ops_.shrink_to_fit();
-}
-
-void Mna_system::build_fold_index()
-{
-    // Counting sort of the non-drop ops by target: ops are laid out in
-    // device order, so each target's run of the slab comes out in device
-    // order.
     const std::size_t targets = matrix_->nonzeros() + total_unknowns_;
     fold_ptr_.assign(targets + 1, 0);
-    for (const std::int32_t op : ops_) {
-        if (op == drop_op) continue;
-        ++fold_ptr_[static_cast<std::size_t>(target_of(op)) + 1];
+
+    // Insertion order sets every target's fold order.  Capacitors that
+    // are not grounded join the bank after the grounded ones.
+    std::vector<const Capacitor*> other_caps;
+    std::vector<Op> other_cap_ops;
+    static_res_.reserve(circuit_->resistors().size());
+    static_res_ops_.reserve(4 * circuit_->resistors().size());
+    cap_device_.reserve(circuit_->capacitors().size());
+    isrc_.reserve(circuit_->current_sources().size());
+    isrc_ops_.reserve(2 * circuit_->current_sources().size());
+    mos_model_.reserve(circuit_->mosfets().size());
+    mos_nodes_.reserve(3 * circuit_->mosfets().size());
+    mos_ops_.reserve(8 * circuit_->mosfets().size());
+    for (const Element& e : circuit_->elements()) {
+        const Element_stamps s = stamps_of(*circuit_, e);
+        std::array<Op, std::size(mosfet_stamps)> ops;
+        for (std::size_t j = 0; j < s.entries.size(); ++j) {
+            const Stamp_entry st = s.entries[j];
+            const bool rhs = st.wrt == rhs_row;
+            ops[j] = bind(s.nodes[static_cast<std::size_t>(st.eq)],
+                          rhs ? ground_node
+                              : s.nodes[static_cast<std::size_t>(st.wrt)],
+                          rhs);
+        }
+        const Op* op = ops.data();
+        const auto i = static_cast<std::size_t>(e.index);
+        switch (e.kind) {
+        case Element_kind::resistor: {
+            const Resistor* r = &circuit_->resistors()[i];
+            if (std::any_of(op, op + 4, [](const Op& o) {
+                    return o.driven != ground_node;
+                })) {
+                driven_res_.push_back(r);
+                driven_res_ops_.insert(driven_res_ops_.end(), op, op + 4);
+                driven_res_nodes_.insert(driven_res_nodes_.end(),
+                                         {r->a(), r->b()});
+            } else {
+                static_res_.push_back(r);
+                static_res_ops_.insert(static_res_ops_.end(), op, op + 4);
+            }
+            break;
+        }
+        case Element_kind::capacitor: {
+            const Capacitor* cap = &circuit_->capacitors()[i];
+            // Grounded: only the (a, a) slot and the a row are live.
+            if (cap->b() == ground_node &&
+                solve_index_[static_cast<std::size_t>(cap->a())] >= 0) {
+                cap_device_.push_back(cap);
+                cap_ops_.insert(cap_ops_.end(), {op[0], op[4]});
+            } else {
+                other_caps.push_back(cap);
+                other_cap_ops.insert(other_cap_ops.end(), op, op + 6);
+            }
+            break;
+        }
+        case Element_kind::current_source:
+            isrc_.push_back(&circuit_->current_sources()[i]);
+            isrc_ops_.insert(isrc_ops_.end(), op, op + 2);
+            break;
+        case Element_kind::mosfet: {
+            const Mosfet& mos = circuit_->mosfets()[i];
+            const Mos_model model{mos.params(), mos.multiplicity()};
+            auto it = std::find_if(
+                mos_models_.begin(), mos_models_.end(),
+                [&](const Mos_model& m) {
+                    return same_model(m.params, m.m, model.params, model.m);
+                });
+            if (it == mos_models_.end()) it = mos_models_.insert(it, model);
+            mos_model_.push_back(
+                static_cast<std::int32_t>(it - mos_models_.begin()));
+            mos_nodes_.insert(mos_nodes_.end(),
+                              {mos.drain(), mos.gate(), mos.source()});
+            mos_ops_.insert(mos_ops_.end(), op, op + 8);
+            break;
+        }
+        case Element_kind::voltage_source:
+            break;
+        }
     }
+    grounded_caps_ = cap_device_.size();
+    cap_device_.insert(cap_device_.end(), other_caps.begin(),
+                       other_caps.end());
+    cap_ops_.insert(cap_ops_.end(), other_cap_ops.begin(),
+                    other_cap_ops.end());
+    cap_ops_.shrink_to_fit();
+
+    // Slab layout: each target's entries follow its predecessors', so an
+    // entry's slab index is its target's offset plus its rank.
     for (std::size_t t = 0; t < targets; ++t) {
         fold_ptr_[t + 1] += fold_ptr_[t];
     }
-    std::vector<std::int32_t> fill(fold_ptr_.begin(), fold_ptr_.end() - 1);
-    op_value_.resize(ops_.size());
-    for (std::size_t k = 0; k < ops_.size(); ++k) {
-        op_value_[k] =
-            ops_[k] == drop_op
-                ? -1
-                : fill[static_cast<std::size_t>(target_of(ops_[k]))]++;
+    for (auto* ops : {&static_res_ops_, &driven_res_ops_, &isrc_ops_,
+                      &cap_ops_, &mos_ops_}) {
+        for (Op& o : *ops) {
+            if (o.value >= 0) {
+                o.value += fold_ptr_[static_cast<std::size_t>(o.target)];
+            }
+        }
     }
     values_.assign(static_cast<std::size_t>(fold_ptr_.back()), 0.0);
 
@@ -464,154 +389,22 @@ void Mna_system::build_fold_index()
         target_flags_[static_cast<std::size_t>(s)] |= gmin_flag;
     }
     dirty_.assign(targets, 0);
-}
 
-void Mna_system::schedule()
-{
-    const auto& devices = circuit_->devices();
-    const std::vector<double> zeros(circuit_->node_count(), 0.0);
-    const Eval_context dc = binding_context(Analysis_mode::dc, zeros);
-
-    Binder verify(*this, Binder::Pass::verify);
-    std::vector<std::int32_t> step_open, always_open;
-    counted_.assign(devices.size(), 0);
-    check_ptr_.assign(1, 0);
-    for (std::size_t i = 0; i < devices.size(); ++i) {
-        const Device& dev = *devices[i];
-        const auto id = static_cast<std::int32_t>(i);
-        const std::int32_t first = device_op_[i];
-        const std::int32_t end = device_op_[i + 1];
-        counted_[i] = dev.is_nonlinear();
-        // Capacitors and MOSFETs belong to their banks (bind_capacitors,
-        // bind_mosfets).
-        if (dynamic_cast<const Capacitor*>(&dev) != nullptr ||
-            dynamic_cast<const Mosfet*>(&dev) != nullptr) {
-            continue;
-        }
-
-        // The DC call sequence must be the transient one or empty.  A
-        // voltage-only stamp does not depend on the mode, so only the
-        // other devices are stamped in DC here (checked builds still
-        // verify every replayed call).
-        const bool vo = dev.stamp_voltage_only();
-        bool dc_open = false;
-        if (!vo) {
-            verify.begin(first, end);
-            dev.stamp(verify, dc);
-            dc_open = verify.calls() == 0 && end > first;
-            if (!dc_open &&
-                !(verify.calls() == end - first && verify.matches())) {
-                throw util::Invariant_error(
-                    "device " + dev.name() +
-                    " stamps a different call sequence in DC than in "
-                    "transient");
-            }
-        }
-        bool driven = false;
-        for (std::int32_t k = first; k < end; ++k) {
-            driven = driven || ops_[static_cast<std::size_t>(k)] < drop_op;
-        }
-
-        if (end == first) continue;  // stamps nothing (voltage sources)
-        if (!dev.is_nonlinear() && vo && !driven) {
-            static_devices_.push_back(id);
-        } else if (vo) {
-            checked_devices_.push_back(id);
-            for (const Node n : dev.nodes()) check_nodes_.push_back(n);
-            check_ptr_.push_back(
-                static_cast<std::int32_t>(check_nodes_.size()));
-        } else if (!dev.is_nonlinear()) {
-            (dc_open ? step_open : step_devices_).push_back(id);
-        } else {
-            (dc_open ? always_open : always_devices_).push_back(id);
-        }
-    }
-    step_dc_end_ = step_devices_.size();
-    step_devices_.insert(step_devices_.end(), step_open.begin(),
-                         step_open.end());
-    always_dc_end_ = always_devices_.size();
-    always_devices_.insert(always_devices_.end(), always_open.begin(),
-                           always_open.end());
-    v_eval_.assign(check_nodes_.size(),
-                   std::numeric_limits<double>::quiet_NaN());
-}
-
-void Mna_system::bind_capacitors()
-{
-    const auto& devices = circuit_->devices();
-    // Bank order: grounded capacitors, then the rest, each in device
-    // order.
-    std::vector<std::size_t> order, general;
-    for (std::size_t i = 0; i < devices.size(); ++i) {
-        if (dynamic_cast<const Capacitor*>(devices[i].get()) == nullptr) {
-            continue;
-        }
-        // [slot, drop, drop, drop, rhs, drop]: a is an unknown, b ground.
-        const std::int32_t* op =
-            &ops_[static_cast<std::size_t>(device_op_[i])];
-        const bool grounded = op[0] >= 0 && op[1] == drop_op &&
-                              op[2] == drop_op && op[3] == drop_op &&
-                              op[4] >= 0 && op[5] == drop_op;
-        (grounded ? order : general).push_back(i);
-    }
-    grounded_caps_ = order.size();
-    order.insert(order.end(), general.begin(), general.end());
-
-    const auto bind_op = [&](std::size_t k) {
-        const std::int32_t op = ops_[k];
-        Cap_op c{op_value_[k], op, ground_node};
-        if (op < drop_op) {
-            const Driven_op& d =
-                driven_ops_[static_cast<std::size_t>(-2 - op)];
-            c.target = d.target;
-            c.driven = d.node;
-        }
-        cap_ops_.push_back(c);
-    };
-    for (std::size_t n = 0; n < order.size(); ++n) {
-        const std::size_t i = order[n];
-        const auto* cap = static_cast<const Capacitor*>(devices[i].get());
-        cap_device_.push_back(cap);
-        cap_a_.push_back(cap->nodes()[0]);
-        cap_b_.push_back(cap->nodes()[1]);
-        const auto first = static_cast<std::size_t>(device_op_[i]);
-        if (n < grounded_caps_) {
-            bind_op(first);
-            bind_op(first + 4);
-        } else {
-            for (std::size_t j = 0; j < 6; ++j) bind_op(first + j);
-        }
-    }
-    const std::size_t count = cap_device_.size();
-    cap_farads_.assign(count, 0.0);
-    cap_v_prev_.assign(count, 0.0);
-    cap_i_prev_.assign(count, 0.0);
-    snapshot_capacitances();
-}
-
-void Mna_system::bind_mosfets()
-{
-    const auto& devices = circuit_->devices();
-    for (std::size_t i = 0; i < devices.size(); ++i) {
-        const auto* mos = dynamic_cast<const Mosfet*>(devices[i].get());
-        if (mos == nullptr) continue;
-        const Mos_model model{mos->params(), mos->multiplicity()};
-        auto it = std::find_if(
-            mos_models_.begin(), mos_models_.end(), [&](const Mos_model& m) {
-                return same_model(m.params, m.m, model.params, model.m);
-            });
-        if (it == mos_models_.end()) it = mos_models_.insert(it, model);
-        mos_model_.push_back(
-            static_cast<std::int32_t>(it - mos_models_.begin()));
-        mos_device_.push_back(static_cast<std::int32_t>(i));
-        mos_nodes_.insert(mos_nodes_.end(),
-                          {mos->drain(), mos->gate(), mos->source()});
-    }
-    mos_model_.shrink_to_fit();
-    mos_device_.shrink_to_fit();
-    mos_nodes_.shrink_to_fit();
+    driven_res_v_eval_.assign(driven_res_nodes_.size(),
+                              std::numeric_limits<double>::quiet_NaN());
     mos_v_eval_.assign(mos_nodes_.size(),
                        std::numeric_limits<double>::quiet_NaN());
+    const std::size_t caps = cap_device_.size();
+    cap_a_.resize(caps);
+    cap_b_.resize(caps);
+    for (std::size_t k = 0; k < caps; ++k) {
+        cap_a_[k] = cap_device_[k]->a();
+        cap_b_[k] = cap_device_[k]->b();
+    }
+    cap_farads_.assign(caps, 0.0);
+    cap_v_prev_.assign(caps, 0.0);
+    cap_i_prev_.assign(caps, 0.0);
+    snapshot_capacitances();
 }
 
 void Mna_system::snapshot_capacitances()
@@ -631,16 +424,50 @@ void Mna_system::apply_driven(double t, std::vector<double>& voltages) const
     }
 }
 
-void Mna_system::evaluate(std::int32_t device, Value_writer& writer,
-                          const Eval_context& ctx)
+// --- evaluation ---------------------------------------------------------------
+
+/// Conductance 1/R between a and b, through the resistor's four entries.
+void Mna_system::write_resistor(const Resistor& r, const Op* op,
+                                const double* voltages)
 {
-    const auto d = static_cast<std::size_t>(device);
-    writer.begin(device);
-    circuit_->devices()[d]->stamp(writer, ctx);
-    MPSRAM_ASSERT(writer.done(),
-                  "device made fewer stamp calls than its bound program",
-                  MPSRAM_VAL(device));
-    counters_.device_evaluations += counted_[d];
+    const double g = 1.0 / r.resistance();
+    MPSRAM_ASSERT(std::isfinite(g), "non-finite Jacobian stamp",
+                  MPSRAM_VAL(g), MPSRAM_VAL(r.a()), MPSRAM_VAL(r.b()));
+    write(op[0], g, voltages);
+    write(op[1], g, voltages);
+    write(op[2], -g, voltages);
+    write(op[3], -g, voltages);
+}
+
+void Mna_system::evaluate_static_resistors(const double* voltages)
+{
+    for (std::size_t k = 0; k < static_res_.size(); ++k) {
+        write_resistor(*static_res_[k], &static_res_ops_[4 * k], voltages);
+    }
+}
+
+void Mna_system::evaluate_driven_resistors(const double* voltages,
+                                           bool bypass, double vtol)
+{
+    for (std::size_t k = 0; k < driven_res_.size(); ++k) {
+        const Node* nodes = &driven_res_nodes_[2 * k];
+        double* v_eval = &driven_res_v_eval_[2 * k];
+        if (bypass && quiet(voltages, nodes, v_eval, 2, vtol)) continue;
+        write_resistor(*driven_res_[k], &driven_res_ops_[4 * k], voltages);
+        record(voltages, nodes, v_eval, 2, bypass);
+    }
+}
+
+void Mna_system::evaluate_current_sources(const Eval_context& ctx)
+{
+    for (std::size_t k = 0; k < isrc_.size(); ++k) {
+        const double i = isrc_[k]->value(ctx.time);
+        MPSRAM_ASSERT(std::isfinite(i), "non-finite RHS stamp",
+                      MPSRAM_VAL(i), MPSRAM_VAL(isrc_[k]->to()));
+        const Op* op = &isrc_ops_[2 * k];
+        write(op[0], i, ctx.voltages);
+        write(op[1], -i, ctx.voltages);
+    }
 }
 
 /// Companion model of capacitor k at step dt: the branch current a->b at
@@ -666,101 +493,65 @@ void Mna_system::evaluate_capacitors(const Eval_context& ctx)
         const Companion c = companion(k, ctx.dt, trap);
         MPSRAM_ASSERT(std::isfinite(c.hist), "non-finite capacitor history",
                       MPSRAM_VAL(k), MPSRAM_VAL(c.hist));
-        const Cap_op* op = &cap_ops_[2 * k];
+        const Op* op = &cap_ops_[2 * k];
         store(op[0].value, op[0].target, c.g);
         store(op[1].value, op[1].target, c.hist);
     }
-    const Cap_op* op = cap_ops_.data() + 2 * grounded_caps_;
+    const Op* op = cap_ops_.data() + 2 * grounded_caps_;
     for (std::size_t k = grounded_caps_; k < count; ++k, op += 6) {
         const Companion c = companion(k, ctx.dt, trap);
         MPSRAM_ASSERT(std::isfinite(c.hist), "non-finite capacitor history",
                       MPSRAM_VAL(k), MPSRAM_VAL(c.hist));
         const double stamp[6] = {c.g, c.g, -c.g, -c.g, c.hist, -c.hist};
-        for (int j = 0; j < 6; ++j) {
-            if (op[j].value < 0) continue;
-            // A driven column moves to the RHS as -g * v(column).
-            store(op[j].value, op[j].target,
-                  op[j].driven == ground_node
-                      ? stamp[j]
-                      : -stamp[j] * ctx.voltages[op[j].driven]);
-        }
+        for (int j = 0; j < 6; ++j) write(op[j], stamp[j], ctx.voltages);
     }
     counters_.device_evaluations += static_cast<long long>(count);
 }
 
 void Mna_system::zero_capacitors()
 {
-    for (const Cap_op& op : cap_ops_) {
+    for (const Op& op : cap_ops_) {
         if (op.value >= 0) store(op.value, op.target, 0.0);
     }
 }
 
-/// One assembly: evaluate what the schedule says changed, then fold.
+/// One assembly: evaluate what may have changed, then fold.
 void Mna_system::load(const Eval_context& ctx,
                       const std::vector<double>& voltages,
                       const Newton_options& opts, bool new_step,
                       std::span<const Forced_node> forces)
 {
-    Value_writer writer(*this, voltages.data());
+    const double* v = voltages.data();
     const bool dc = ctx.mode == Analysis_mode::dc;
-    if (dc && (!assembled_ || !assembled_dc_)) {
-        // Entering DC: devices open in DC contribute nothing.
-        zero_capacitors();
-        for (std::size_t k = step_dc_end_; k < step_devices_.size(); ++k) {
-            writer.zero(step_devices_[k]);
-        }
-        for (std::size_t k = always_dc_end_; k < always_devices_.size();
-             ++k) {
-            writer.zero(always_devices_[k]);
-        }
-    }
+    // Entering DC: the capacitors are open.
+    if (dc && (!assembled_ || !assembled_dc_)) zero_capacitors();
     assembled_dc_ = dc;
 
-    if (statics_stale_) {
-        for (const std::int32_t d : static_devices_) evaluate(d, writer, ctx);
-        statics_stale_ = false;
+    if (static_res_stale_) {
+        evaluate_static_resistors(v);
+        static_res_stale_ = false;
     }
     if (new_step) {
-        const std::size_t end = dc ? step_dc_end_ : step_devices_.size();
-        for (std::size_t k = 0; k < end; ++k) {
-            evaluate(step_devices_[k], writer, ctx);
-        }
+        evaluate_current_sources(ctx);
         if (!dc) evaluate_capacitors(ctx);
     }
-    const std::size_t always_end =
-        dc ? always_dc_end_ : always_devices_.size();
-    for (std::size_t k = 0; k < always_end; ++k) {
-        evaluate(always_devices_[k], writer, ctx);
-    }
 
-    // Checked devices and the MOSFET bank.  On the bypass tier a device
-    // whose terminals — driven ones included — all stayed within
+    // Driven-column resistors and the MOSFET bank.  On the bypass tier an
+    // element whose terminals — driven ones included — all stayed within
     // device_bypass_vtol of its last recorded evaluation keeps its values;
     // the direct tier (and vtol <= 0) re-evaluates every iteration and
     // records nothing.
     const double vtol = opts.device_bypass_vtol;
     const bool bypass = opts.solver == Solver_policy::bypass && vtol > 0.0;
-    for (std::size_t k = 0; k < checked_devices_.size(); ++k) {
-        const auto first = static_cast<std::size_t>(check_ptr_[k]);
-        const std::size_t count =
-            static_cast<std::size_t>(check_ptr_[k + 1]) - first;
-        const Node* nodes = &check_nodes_[first];
-        if (bypass &&
-            quiet(voltages.data(), nodes, &v_eval_[first], count, vtol)) {
-            continue;
-        }
-        evaluate(checked_devices_[k], writer, ctx);
-        record(voltages.data(), nodes, &v_eval_[first], count, bypass);
-    }
-    evaluate_mosfets(writer, voltages.data(), bypass, vtol);
+    evaluate_driven_resistors(v, bypass, vtol);
+    evaluate_mosfets(v, bypass, vtol);
 
     fold(ctx, voltages, opts, forces);
 }
 
-/// The MOSFET bank's iteration: the drift check, then the EKV kernel and
-/// the stamp-call sequence of stamp_mosfet straight into the writer.
-void Mna_system::evaluate_mosfets(Value_writer& writer,
-                                  const double* voltages, bool bypass,
+/// The MOSFET bank's iteration: the drift check, then the EKV model and
+/// the Newton companion of every record that moved.
+void Mna_system::evaluate_mosfets(const double* voltages, bool bypass,
                                   double vtol)
 {
     for (std::size_t k = 0; k < mos_model_.size(); ++k) {
@@ -769,12 +560,29 @@ void Mna_system::evaluate_mosfets(Value_writer& writer,
         if (bypass && quiet(voltages, nodes, v_eval, 3, vtol)) continue;
         const Mos_model& model =
             mos_models_[static_cast<std::size_t>(mos_model_[k])];
-        writer.begin(mos_device_[k]);
-        stamp_mosfet(writer, nodes[0], nodes[1], nodes[2], model.params,
-                     model.m, voltages);
-        MPSRAM_ASSERT(writer.done(),
-                      "MOSFET made fewer stamp calls than its bound program",
-                      MPSRAM_VAL(mos_device_[k]));
+        const double vd = voltages[nodes[0]];
+        const double vg = voltages[nodes[1]];
+        const double vs = voltages[nodes[2]];
+        const Mosfet_eval e = evaluate_mosfet(model.params, vd, vg, vs,
+                                              model.m);
+        // Newton companion: ids(v) ~ ids0 + gds*dvd + gm*dvg + gms*dvs.
+        // ids flows d -> s inside the device, i.e. leaves node d and
+        // enters node s.
+        const double i_const = e.ids - (e.gds * vd + e.gm * vg + e.gms * vs);
+        const double stamp[8] = {e.gds,  e.gm,  e.gms,     -e.gds,
+                                 -e.gm,  -e.gms, -i_const, i_const};
+        const Op* op = &mos_ops_[8 * k];
+        for (int j = 0; j < 8; ++j) {
+            // A NaN-poisoned stamp caught here names the MOSFET;
+            // downstream it would surface as an unrelated
+            // Convergence_error (NaN never satisfies the pivot floor or
+            // the tolerance test) long after the cause.
+            MPSRAM_ASSERT(std::isfinite(stamp[j]),
+                          j < 6 ? "non-finite Jacobian stamp"
+                                : "non-finite RHS stamp",
+                          MPSRAM_VAL(stamp[j]), MPSRAM_VAL(k));
+            write(op[j], stamp[j], voltages);
+        }
         ++counters_.device_evaluations;
         record(voltages, nodes, v_eval, 3, bypass);
     }
@@ -1083,8 +891,8 @@ int Mna_system::solve_reuse(Eval_context ctx, std::vector<double>& voltages,
 void Mna_system::reset_reuse_state()
 {
     factored_ = false;
-    statics_stale_ = true;
-    std::fill(v_eval_.begin(), v_eval_.end(),
+    static_res_stale_ = true;
+    std::fill(driven_res_v_eval_.begin(), driven_res_v_eval_.end(),
               std::numeric_limits<double>::quiet_NaN());
     std::fill(mos_v_eval_.begin(), mos_v_eval_.end(),
               std::numeric_limits<double>::quiet_NaN());
@@ -1115,8 +923,11 @@ void Mna_system::accept(const Eval_context& ctx)
 std::vector<double> Mna_system::breakpoints(double tstop) const
 {
     std::vector<double> out;
-    for (const auto& dev : circuit_->devices()) {
-        dev->add_breakpoints(tstop, out);
+    for (const Voltage_source& src : circuit_->voltage_sources()) {
+        src.wave().breakpoints(tstop, out);
+    }
+    for (const Current_source& src : circuit_->current_sources()) {
+        src.wave().breakpoints(tstop, out);
     }
     std::sort(out.begin(), out.end());
     out.erase(std::unique(out.begin(), out.end(),
@@ -1125,12 +936,6 @@ std::vector<double> Mna_system::breakpoints(double tstop) const
                           }),
               out.end());
     return out;
-}
-
-double Mna_system::branch_current(std::size_t i) const
-{
-    util::expects(i < branch_currents_.size(), "branch index out of range");
-    return branch_currents_[i];
 }
 
 } // namespace mpsram::spice

@@ -1,5 +1,6 @@
-// Compiled MNA system: node classification, the compiled stamp program,
-// and the Newton-Raphson solve shared by DC and transient analyses.
+// Compiled MNA system: node classification, the bound stamp entries of
+// every element, and the Newton-Raphson solve shared by DC and transient
+// analyses.
 //
 // Classification: a voltage source with its negative terminal on ground
 // makes its positive node "driven" (known voltage, no unknown — the common
@@ -7,70 +8,56 @@
 // matrix).  Floating voltage sources get a branch-current unknown appended
 // after the node unknowns, where elimination fill guarantees their pivots.
 //
-// Stamp program: evaluation is separated from accumulation.
+// Assembly: evaluation is separated from accumulation.
 //
-//   * Binding (compile time, SPICE3 TSTALLOC style).  Every device is
-//     stamped once against a recorder (capacitors: the bank's call
-//     sequence, below), and once more in DC when its stamp may depend on
-//     the mode; each transient stamp call becomes one pre-routed op,
-//     with its slab index (op_value_): a CSR matrix slot, an RHS row, a
-//     driven-column RHS entry (-g * v(node), node kept in a side table),
-//     or a drop (ground/driven equation rows, ground columns — adding a
-//     signed zero to a sum that starts at +0.0 is an exact identity).
-//     The device.h contract (a fixed stamp-call sequence per analysis
-//     mode) is what makes the tape valid; checked builds assert every
-//     replayed call's (eq, wrt) against its bound op.
-//   * Evaluation.  A device writes stamp VALUES into the value slab; a
-//     write that changes the stored bits marks its matrix slot or RHS
-//     row dirty.  Devices are scheduled by class, decided at compile
-//     time:
-//       - static: linear, voltage-only, no driven column (resistors) —
-//         evaluated once per run, after reset_reuse_state();
-//       - per step: linear with time dependence (sources) — evaluated on
-//         the first Newton iteration of each solve, where t and dt
-//         change;
-//       - checked: voltage-only and nonlinear, or linear with a driven
-//         column — re-evaluated every iteration on the direct tier, and
-//         behind the per-device device_bypass_vtol drift check on the
-//         bypass tier (MOSFETs are checked too, from their bank, below);
-//       - always: nonlinear devices that are not voltage-only.
-//     Devices that make no stamp calls in DC are skipped in DC, with
-//     their slab values held at +0.0.
+//   * Binding (compile time, SPICE3 TSTALLOC style).  Each element kind
+//     has one fixed list of stamp entries over its terminals (system.cpp):
+//     its (eq, wrt) Jacobian pairs, then its RHS rows.  Walking the
+//     elements in insertion order, the same lists first build the CSR
+//     pattern, then route every entry once: to a matrix slot, an RHS row,
+//     a driven-column RHS entry (-x * v(column)), or a drop (ground and
+//     driven equation rows, ground columns — adding a signed zero to a
+//     sum that starts at +0.0 is an exact identity).  Each kept entry gets
+//     its slab index.
+//   * Evaluation.  Each kind has a flat loop of its own, which writes
+//     stamp VALUES into the value slab; a write that changes the stored
+//     bits marks its matrix slot or RHS row dirty.
+//       - resistors without a driven column: once per run, after
+//         reset_reuse_state();
+//       - resistors with a driven column: every iteration on the direct
+//         tier, and behind the per-element device_bypass_vtol drift check
+//         on the bypass tier, as MOSFETs are;
+//       - current sources: on the first Newton iteration of each solve,
+//         where t and dt change, DC included;
+//       - capacitors and MOSFETs: their banks, below.
 //   * Capacitor bank.  Capacitors are structural, like grounded voltage
 //     sources: the system owns their companion models in flat arrays
-//     (terminals, farads, history v_prev / i_prev, and per bound op its
-//     slab index and fold target).  Each capacitor's six ops are bound
-//     at its device position, in Stamper::conductance order then the
-//     two history-source RHS entries, so the op tape and every fold
-//     order are exactly those of a capacitor device stamping itself.
-//     The bank is per step: evaluated in one flat loop on the first
-//     iteration of each transient solve, open (+0.0) in DC, and told
-//     accept() after each DC solution and accepted step, where it
-//     latches its history.  A grounded capacitor ([slot, drop, drop,
-//     drop, rhs, drop]) writes its two live values directly; any other
-//     goes through the general six-op path.  Capacitances are
-//     snapshotted in reset_reuse_state(), where value edits take effect.
-//   * MOSFET bank.  MOSFETs, the devices evaluated every Newton
-//     iteration, skip the virtual Device::stamp: an SoA bank in device
-//     order holds each one's terminals, an index into a table of the
-//     distinct (Mosfet_params, multiplicity) models (equal bit for bit),
-//     its span of the op tape (six Jacobian entries, then two RHS
-//     entries) and its drift record.  One flat loop applies the checked
-//     class's drift check to every record and runs stamp_mosfet
-//     (spice/mosfet.h) for those that moved: the stamp-call sequence
-//     binding recorded through Mosfet::stamp, into the runtime stamper
-//     called through its final type, so values, order and checked-build
-//     assertions are those of the device stamping itself.
+//     (terminals, farads, history v_prev / i_prev, bound entries).  The
+//     bank is per step: evaluated in one flat loop on the first iteration
+//     of each transient solve, open (+0.0) in DC, and told accept() after
+//     each DC solution and accepted step, where it latches its history.
+//     A grounded capacitor (a an unknown, b ground) keeps only its two
+//     live entries, the (a, a) slot and the a row, and comes first in the
+//     bank; any other keeps all six.  Capacitances are snapshotted in
+//     reset_reuse_state(), where value edits take effect.
+//   * MOSFET bank.  MOSFETs, the elements evaluated every Newton
+//     iteration, form an SoA bank in insertion order: each one's
+//     terminals, an index into a table of the distinct (Mosfet_params,
+//     multiplicity) models (equal bit for bit), its eight bound entries
+//     and its drift record.  One flat loop applies the drift check to
+//     every record, evaluates the EKV model for those that moved and
+//     writes their Newton companions.
 //   * Slab layout.  Values are stored target-major: the contributions to
-//     one matrix slot or RHS row are contiguous, in device order.
+//     one matrix slot or RHS row are contiguous, in insertion order.
 //   * Fold.  Each matrix slot and RHS row is the sum of its
-//     contributions in device order, starting from 0.0, followed by gmin,
-//     initial-condition forcing and the floating-source branch stamps —
-//     the exact sequence of additions a clear-then-accumulate assembly
-//     performs, so every solver tier gets bit-identical matrices.  Only
-//     dirty entries are re-folded; everything else carries over from the
-//     previous iteration.  The first assembly, a gmin change, and any
-//     forced solve (and the one after it) fold everything.
+//     contributions in insertion order, starting from 0.0, followed by
+//     gmin, initial-condition forcing and the floating-source branch
+//     stamps — the exact sequence of additions a clear-then-accumulate
+//     assembly performs, so every solver tier gets bit-identical
+//     matrices.  Only dirty entries are re-folded; everything else
+//     carries over from the previous iteration.  The first assembly, a
+//     gmin change, and any forced solve (and the one after it) fold
+//     everything.
 #ifndef MPSRAM_SPICE_SYSTEM_H
 #define MPSRAM_SPICE_SYSTEM_H
 
@@ -115,9 +102,10 @@ struct Newton_options {
     Solver_policy solver = Solver_policy::direct;
     /// bypass: refresh the factorization when any node voltage (driven
     /// nodes included — word-line ramps move the MOSFET linearizations)
-    /// drifts more than this from the factor-time operating point [V].  Kept tight: a near-current operator keeps
-    /// chord steps Newton-quality AND lets a converged solve accept on a
-    /// still-valid factor without a confirmation iteration.
+    /// drifts more than this from the factor-time operating point [V].
+    /// Kept tight: a near-current operator keeps chord steps Newton-quality
+    /// AND lets a converged solve accept on a still-valid factor without a
+    /// confirmation iteration.
     double bypass_vtol = 5e-3;
     /// bypass: refresh when dt leaves [dt_f / band, dt_f * band] around
     /// the factor-time step (capacitor companion conductances scale as
@@ -131,7 +119,7 @@ struct Newton_options {
     /// under a stale operator).
     int bypass_stall_iters = 5;
     /// bypass: device-level bypass (the classic SPICE BYPASS lever).  A
-    /// nonlinear device whose terminal voltages — driven terminals
+    /// MOSFET or driven-column resistor whose terminal voltages — driven terminals
     /// included — all moved less than this [V] since its last
     /// evaluation keeps its last stamp values instead of re-running the
     /// compact model.  The kept linearization is off by at most
@@ -149,9 +137,9 @@ struct Solver_counters {
     long long newton_iterations = 0;
     long long lu_factorizations = 0;  ///< LU factorizations
     long long bypass_hits = 0;
-    /// Compact-model or companion evaluations: nonlinear devices whose
-    /// stamps were recomputed (not carried over) for an assembly, plus
-    /// one per capacitor for every transient solve.
+    /// Compact-model or companion evaluations: MOSFETs whose stamps were
+    /// recomputed (not carried over) for an assembly, plus one per
+    /// capacitor for every transient solve.
     long long device_evaluations = 0;
 };
 
@@ -165,7 +153,7 @@ struct Forced_node {
 
 class Mna_system {
 public:
-    explicit Mna_system(Circuit& circuit);
+    explicit Mna_system(const Circuit& circuit);
 
     std::size_t unknown_count() const { return total_unknowns_; }
     std::size_t node_unknown_count() const { return unknown_nodes_.size(); }
@@ -189,63 +177,54 @@ public:
     /// Union of breakpoints of all sources in (0, tstop), sorted unique.
     std::vector<double> breakpoints(double tstop) const;
 
-    bool nonlinear() const { return nonlinear_; }
-
-    /// Branch current of floating source `i` from the last solve [A].
-    double branch_current(std::size_t i) const;
-
     /// Cumulative solver work counters (never reset; diff snapshots).
     const Solver_counters& counters() const { return counters_; }
 
     /// Drop all cross-solve reuse state (stale factorization, device
-    /// bypass records) and re-evaluate the static devices at the next
+    /// bypass records) and re-evaluate the static resistors at the next
     /// assembly.  Analyses call this once per run so a result is a
     /// function of that run's inputs alone — never of what a reused
-    /// workspace solved before.  Load-bearing for MC and sweeps: device
+    /// workspace solved before.  Load-bearing for MC and sweeps: element
     /// value edits (Resistor::set_resistance, Capacitor::set_capacitance)
-    /// take effect here, and samples change device parameters without
+    /// take effect here, and samples change element values without
     /// moving the voltages the staleness checks watch.
     void reset_reuse_state();
 
 private:
-    class Binder;
-    class Value_writer;
+    /// A bound stamp entry: a slab value and its fold target, or a drop.
+    struct Op {
+        std::int32_t value;   ///< slab index, -1 for a drop
+        std::int32_t target;  ///< matrix slot, or nnz + RHS row
+        Node driven;          ///< driven column: stores -x * v(driven)
+    };
 
     void classify();
     void compile();
-    void bind_ops();
-    void build_fold_index();
-    void schedule();
-    void bind_capacitors();
-    void bind_mosfets();
+    void bind_elements();
+    Op bind(Node eq, Node wrt, bool rhs);
     void snapshot_capacitances();
 
-    // Op encoding (see the stamp-program members below).  bind_* route
-    // one stamp call; is_bound_* check, in O(1), that a call routes to a
-    // given op; target_of is the fold target of an op (-1 for a drop).
-    std::int32_t bind_jacobian(Node eq, Node wrt);
-    std::int32_t bind_rhs(Node eq) const;
-    bool is_bound_jacobian(std::int32_t op, Node eq, Node wrt) const;
-    bool is_bound_rhs(std::int32_t op, Node eq) const;
-    std::int32_t target_of(std::int32_t op) const;
-
-    /// One Newton iteration's system: evaluate what the schedule says
-    /// may have changed, then fold.  `new_step`: first iteration of a
-    /// solve (t, dt and history just moved).
+    /// One Newton iteration's system: evaluate what may have changed,
+    /// then fold.  `new_step`: first iteration of a solve (t, dt and
+    /// history just moved).
     void load(const Eval_context& ctx, const std::vector<double>& voltages,
               const Newton_options& opts, bool new_step,
               std::span<const Forced_node> forces);
-    void evaluate(std::int32_t device, Value_writer& writer,
-                  const Eval_context& ctx);
     struct Companion {
         double g;     ///< equivalent conductance [S]
         double hist;  ///< history current source [A]
     };
     Companion companion(std::size_t k, double dt, bool trap) const;
+    void write_resistor(const Resistor& r, const Op* op,
+                        const double* voltages);
+    void evaluate_static_resistors(const double* voltages);
+    void evaluate_driven_resistors(const double* voltages, bool bypass,
+                                   double vtol);
+    void evaluate_current_sources(const Eval_context& ctx);
     void evaluate_capacitors(const Eval_context& ctx);
     void zero_capacitors();
-    void evaluate_mosfets(Value_writer& writer, const double* voltages,
-                          bool bypass, double vtol);
+    void evaluate_mosfets(const double* voltages, bool bypass, double vtol);
+    void write(const Op& op, double x, const double* voltages);
     void store(std::int32_t value, std::int32_t target, double v);
     void fold(const Eval_context& ctx, const std::vector<double>& voltages,
               const Newton_options& opts,
@@ -262,7 +241,7 @@ private:
                       const std::vector<double>& voltages,
                       const Newton_options& opts) const;
 
-    Circuit* circuit_;
+    const Circuit* circuit_;
     std::vector<int> solve_index_;    ///< node -> unknown index or -1
     std::vector<Node> unknown_nodes_; ///< unknown index -> node
 
@@ -282,7 +261,6 @@ private:
     std::vector<Branch> branches_;
 
     std::size_t total_unknowns_ = 0;
-    bool nonlinear_ = false;
 
     std::unique_ptr<Sparse_matrix> matrix_;
     std::unique_ptr<Sparse_lu> lu_;
@@ -290,20 +268,8 @@ private:
     std::vector<double> solution_;
     std::vector<double> branch_currents_;
 
-    // --- stamp program (file comment above) ----------------------------------
-    // Op encoding, one int32 per stamp call: >= 0 a fold target (matrix
-    // slot, or nnz + RHS row); -1 a drop; <= -2 entry (-op - 2) of
-    // driven_ops_, an RHS entry -g * v(node) of a driven column.
-    static constexpr std::int32_t drop_op = -1;
-    struct Driven_op {
-        std::int32_t target;  ///< nnz + RHS row
-        Node node;            ///< driven column
-    };
-    std::vector<std::int32_t> ops_;
-    std::vector<std::int32_t> op_value_;      ///< per op, slab index or -1
-    std::vector<Driven_op> driven_ops_;
-    std::vector<std::int32_t> device_op_;     ///< per device, first op (+end)
-    // Target-major value slab: the values of target t, in device order,
+    // --- assembly (file comment above) ---------------------------------------
+    // Target-major value slab: the values of target t, in insertion order,
     // are values_[fold_ptr_[t] .. fold_ptr_[t + 1]).
     std::vector<double> values_;
     std::vector<std::int32_t> fold_ptr_;
@@ -316,56 +282,50 @@ private:
     std::size_t dirty_count_ = 0;
     std::vector<int> diag_slot_;  ///< node unknown -> diagonal slot
 
-    // Schedule (device indices).  The per-step and always lists hold the
-    // devices that also stamp in DC first: [0, *_dc_end_).
-    std::vector<std::int32_t> static_devices_;
-    std::vector<std::int32_t> step_devices_;
-    std::vector<std::int32_t> always_devices_;
-    std::vector<std::int32_t> checked_devices_;
-    std::size_t step_dc_end_ = 0;
-    std::size_t always_dc_end_ = 0;
-    std::vector<unsigned char> counted_;  ///< per device: counts as an eval
-    // Device-level bypass record of the checked devices: terminal nodes
-    // and their voltages at the last recorded evaluation (NaN = none),
-    // flat, device k at [check_ptr_[k], check_ptr_[k + 1]).
-    std::vector<std::int32_t> check_ptr_;
-    std::vector<Node> check_nodes_;
-    std::vector<double> v_eval_;
+    // Resistors, four bound entries each: those without a driven column,
+    // then those with one, which keep a drift record of their terminals
+    // (a, b) and the voltages at the last recorded evaluation (NaN: none).
+    std::vector<const Resistor*> static_res_;
+    std::vector<Op> static_res_ops_;
+    std::vector<const Resistor*> driven_res_;
+    std::vector<Op> driven_res_ops_;
+    std::vector<Node> driven_res_nodes_;
+    std::vector<double> driven_res_v_eval_;
+
+    // Current sources, two bound entries each: the `to` row, then `from`.
+    std::vector<const Current_source*> isrc_;
+    std::vector<Op> isrc_ops_;
 
     // Capacitor bank (file comment), one entry per capacitor, grounded
     // ones first: [0, grounded_caps_).
-    struct Cap_op {
-        std::int32_t value;   ///< slab index, -1 for a drop
-        std::int32_t target;  ///< fold target
-        Node driven;          ///< driven column of an RHS entry -g * v, or 0
-    };
     std::vector<const Capacitor*> cap_device_;
     std::vector<Node> cap_a_;
     std::vector<Node> cap_b_;
     std::vector<double> cap_farads_;  ///< snapshot of reset_reuse_state()
     std::vector<double> cap_v_prev_;  ///< v(a) - v(b) at the last accept
     std::vector<double> cap_i_prev_;  ///< current a->b at the last accept
-    /// Bound ops: two per grounded capacitor ((a, a) slot, a row), then
-    /// six per other capacitor, in binding order.
-    std::vector<Cap_op> cap_ops_;
+    /// Bound entries: two per grounded capacitor ((a, a) slot, a row),
+    /// then six per other capacitor, in bank order.
+    std::vector<Op> cap_ops_;
     std::size_t grounded_caps_ = 0;
 
-    // MOSFET bank (file comment), one record per MOSFET in device order.
+    // MOSFET bank (file comment), one record per MOSFET in insertion
+    // order.
     struct Mos_model {
         Mosfet_params params;
         double m;  ///< multiplicity
     };
-    std::vector<Mos_model> mos_models_;     ///< distinct models
-    std::vector<std::int32_t> mos_model_;   ///< per record, into mos_models_
-    std::vector<std::int32_t> mos_device_;  ///< per record, its op-tape span
-    std::vector<Node> mos_nodes_;           ///< drain, gate, source
+    std::vector<Mos_model> mos_models_;    ///< distinct models
+    std::vector<std::int32_t> mos_model_;  ///< per record, into mos_models_
+    std::vector<Node> mos_nodes_;          ///< drain, gate, source
+    std::vector<Op> mos_ops_;              ///< eight per record
     /// Terminal voltages at the last recorded evaluation (NaN = none),
-    /// three per record, as v_eval_ for the other checked devices.
+    /// three per record.
     std::vector<double> mos_v_eval_;
 
     bool assembled_ = false;      ///< a full fold has happened
     bool assembled_dc_ = false;   ///< mode of the last assembly
-    bool statics_stale_ = true;
+    bool static_res_stale_ = true;
     bool had_forces_ = false;
     double folded_gmin_ = 0.0;
 

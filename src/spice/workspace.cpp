@@ -2,7 +2,7 @@
 
 namespace mpsram::spice {
 
-Mna_system& Transient_workspace::bind(Circuit& circuit)
+Mna_system& Transient_workspace::bind(const Circuit& circuit)
 {
     const bool reusable = system_ && bound_ == &circuit &&
                           bound_nodes_ == circuit.node_count() &&

@@ -1,21 +1,22 @@
 // Reusable solver scratch for repeated analyses on one circuit.
 //
 // Compiling a circuit into an Mna_system is the expensive, allocation-heavy
-// part of an analysis: node classification, sparse-pattern assembly, and the
-// symbolic LU (fill-in) all happen in the constructor.  The seed code paid
-// that cost twice per transient (once for the operating point, once for the
-// time loop) and rebuilt everything on every run of a sweep.
+// part of an analysis: node classification, sparse-pattern assembly, the
+// symbolic LU (fill-in) and the binding of every element's stamp entries
+// all happen in the constructor.  A Transient_workspace keeps the compiled
+// system plus the solution vectors of the time loop across calls, and
+// rebuilds them only when the bound circuit's identity, node count or
+// element count changes; a Circuit only ever grows, so equal counts mean
+// the same elements.
 //
-// A Transient_workspace owns that scratch across calls: it caches the
-// compiled system plus the solution vectors of the time loop, and rebuilds
-// them only when the bound circuit's identity or structure changes.  Device
-// *value* edits (Resistor::set_resistance, Capacitor::set_capacitance) do
-// not change the sparse pattern, so a sweep that re-points a netlist at new
-// extracted parasitics keeps the symbolic factorization.  An edit takes
-// effect at the next analysis run: run_transient and dc_operating_point
-// start with Mna_system::reset_reuse_state(), which re-stamps the
-// resistors and snapshots the capacitances into the system's capacitor
-// bank.  An edit made while a run is in flight is not seen by that run.
+// Element *value* edits (Resistor::set_resistance,
+// Capacitor::set_capacitance) change neither the sparse pattern nor the
+// bound entries, so a sweep that re-points a netlist at new extracted
+// parasitics keeps the compiled system.  An edit takes effect at the next
+// analysis run: run_transient and dc_operating_point start with
+// Mna_system::reset_reuse_state(), which re-stamps the resistors and
+// snapshots the capacitances into the system's capacitor bank.  An edit
+// made while a run is in flight is not seen by that run.
 //
 // A workspace is single-threaded state: give each worker of a parallel
 // sweep its own (see sram::Read_sim_context and the core:: batch APIs).
@@ -42,9 +43,9 @@ public:
     Transient_workspace& operator=(Transient_workspace&&) = default;
 
     /// Compiled system for `circuit`, rebuilt only when the circuit is not
-    /// the one already bound or its node/device structure changed.
+    /// the one already bound or its node or element count changed.
     // lint:allow(raw-socket) -- binds a workspace, not a socket
-    Mna_system& bind(Circuit& circuit);
+    Mna_system& bind(const Circuit& circuit);
 
     /// Drop the bound system (next bind() rebuilds).  Call after replacing
     /// the circuit object itself.

@@ -4,9 +4,7 @@
 
 #include <cmath>
 #include <limits>
-#include <memory>
 #include <string>
-#include <vector>
 
 #include "core/runner.h"
 #include "spice/analysis.h"
@@ -133,28 +131,11 @@ TEST(Check, IndexFormReportsBothSides)
 
 #endif // MPSRAM_CHECKED
 
-/// Test-only device stamping a NaN conductance.  The library devices
-/// validate their parameters at construction, so the only way a NaN can
-/// reach the MNA assembly is a buggy model — which this class simulates.
-class Nan_device : public spice::Device {
-public:
-    Nan_device(std::string name, spice::Node a, spice::Node b)
-        : Device(std::move(name), {a, b}), a_(a), b_(b)
-    {
-    }
-
-    void stamp(spice::Stamper& s, const spice::Eval_context&) const override
-    {
-        s.conductance(a_, b_, quiet_nan);
-    }
-
-private:
-    spice::Node a_;
-    spice::Node b_;
-};
-
-TEST(Check, CheckedBuildRejectsNanStampedDevice)
+TEST(Check, CheckedBuildRejectsNanCurrentSource)
 {
+    // Every element parameter but a source waveform is validated at
+    // construction, so a NaN waveform value is how a non-finite stamp
+    // reaches the assembly outside the MOSFET bank.
 #ifndef MPSRAM_CHECKED
     GTEST_SKIP() << "contract layer compiled out in this build";
 #else
@@ -164,21 +145,28 @@ TEST(Check, CheckedBuildRejectsNanStampedDevice)
                          spice::Waveform::dc(1.0));
     const spice::Node n2 = c.node("n2");
     c.add_resistor("R1", n1, n2, 1000.0);
-    c.devices().push_back(
-        std::make_unique<Nan_device>("XNAN", n2, spice::ground_node));
+    c.add_current_source("INAN", spice::ground_node, n2,
+                         spice::Waveform::dc(quiet_nan));
 
     // Without the stamp guard the NaN sails through assembly, defeats the
     // pivot-floor test (fabs(NaN) < floor is false), and Newton "converges"
     // because fabs(NaN delta) > tol is also false — a silent wrong answer.
-    EXPECT_THROW(spice::dc_operating_point(c), util::Contract_error);
+    try {
+        spice::dc_operating_point(c);
+        ADD_FAILURE() << "a NaN current source was not caught";
+    } catch (const util::Contract_error& e) {
+        const std::string what = e.what();
+        EXPECT_NE(what.find("non-finite RHS stamp"), std::string::npos)
+            << what;
+    }
 #endif
 }
 
 TEST(Check, CheckedBuildRejectsNanStampedMosfet)
 {
-    // MOSFETs are evaluated from the MNA system's bank, not through
-    // Device::stamp; the bank keeps the per-stamp finiteness guard.  A NaN
-    // beta passes the model's parameter checks and poisons every stamp.
+    // The MNA system's MOSFET bank keeps the per-stamp finiteness guard.
+    // A NaN beta passes the model's parameter checks and poisons every
+    // stamp.
 #ifndef MPSRAM_CHECKED
     GTEST_SKIP() << "contract layer compiled out in this build";
 #else
@@ -200,77 +188,6 @@ TEST(Check, CheckedBuildRejectsNanStampedMosfet)
             << what;
     }
 #endif
-}
-
-/// Test-only device breaking the stamp-call contract of device.h: which
-/// Jacobian entry it stamps depends on the iterate.  Nonlinear, so it is
-/// re-stamped on every Newton iteration.
-class Wandering_device : public spice::Device {
-public:
-    Wandering_device(std::string name, spice::Node a, spice::Node b)
-        : Device(std::move(name), {a, b})
-    {
-    }
-
-    bool is_nonlinear() const override { return true; }
-    void stamp(spice::Stamper& s,
-               const spice::Eval_context& ctx) const override
-    {
-        const spice::Node n = ctx.v(nodes()[0]) > 0.25 ? nodes()[0]
-                                                       : nodes()[1];
-        s.jacobian(n, n, 1e-3);
-    }
-};
-
-TEST(Check, CheckedBuildRejectsStampCallOffItsBoundOp)
-{
-#ifndef MPSRAM_CHECKED
-    GTEST_SKIP() << "contract layer compiled out in this build";
-#else
-    // Bound at zero volts to (n3, n3); once n2 rises the device stamps
-    // (n2, n2) instead, which would land in the wrong slot unchecked.
-    spice::Circuit c;
-    const spice::Node n1 = c.node("n1");
-    const spice::Node n2 = c.node("n2");
-    const spice::Node n3 = c.node("n3");
-    c.add_voltage_source("V1", n1, spice::ground_node,
-                         spice::Waveform::dc(1.0));
-    c.add_resistor("R1", n1, n2, 1000.0);
-    c.add_resistor("R2", n2, n3, 1000.0);
-    c.add_resistor("R3", n3, spice::ground_node, 1000.0);
-    c.devices().push_back(
-        std::make_unique<Wandering_device>("XW", n2, n3));
-    EXPECT_THROW(spice::dc_operating_point(c), util::Contract_error);
-#endif
-}
-
-/// Test-only device whose DC stamps are neither its transient ones nor
-/// empty — a sequence the stamp program cannot bind.
-class Mode_switching_device : public spice::Device {
-public:
-    Mode_switching_device(std::string name, spice::Node a)
-        : Device(std::move(name), {a})
-    {
-    }
-
-    void stamp(spice::Stamper& s,
-               const spice::Eval_context& ctx) const override
-    {
-        s.jacobian(nodes()[0], nodes()[0], 1e-3);
-        if (ctx.mode == spice::Analysis_mode::transient) {
-            s.rhs(nodes()[0], 1e-6);
-        }
-    }
-};
-
-TEST(Check, CompileRejectsDcStampSequenceOfAnotherShape)
-{
-    spice::Circuit c;
-    const spice::Node n1 = c.node("n1");
-    c.add_resistor("R1", n1, spice::ground_node, 1000.0);
-    c.devices().push_back(
-        std::make_unique<Mode_switching_device>("XM", n1));
-    EXPECT_THROW(spice::dc_operating_point(c), util::Invariant_error);
 }
 
 } // namespace
