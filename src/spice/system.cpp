@@ -254,7 +254,7 @@ void Mna_system::compile()
 /// Route one stamp entry — Jacobian entry (eq, wrt), or the RHS row of eq
 /// when `rhs` — and give a kept entry the next rank among its target's
 /// entries (bind_elements turns ranks into slab indices).
-Mna_system::Op Mna_system::bind(Node eq, Node wrt, bool rhs)
+Mna_system::Op Mna_system::route(Node eq, Node wrt, bool rhs)
 {
     Op op{-1, -1, ground_node};
     const int row = solve_index_[static_cast<std::size_t>(eq)];
@@ -298,14 +298,14 @@ void Mna_system::bind_elements()
     mos_ops_.reserve(8 * circuit_->mosfets().size());
     for (const Element& e : circuit_->elements()) {
         const Element_stamps s = stamps_of(*circuit_, e);
-        std::array<Op, std::size(mosfet_stamps)> ops;
+        std::array<Op, std::size(mosfet_stamps)> ops{};
         for (std::size_t j = 0; j < s.entries.size(); ++j) {
             const Stamp_entry st = s.entries[j];
             const bool rhs = st.wrt == rhs_row;
-            ops[j] = bind(s.nodes[static_cast<std::size_t>(st.eq)],
-                          rhs ? ground_node
-                              : s.nodes[static_cast<std::size_t>(st.wrt)],
-                          rhs);
+            ops[j] = route(s.nodes[static_cast<std::size_t>(st.eq)],
+                           rhs ? ground_node
+                               : s.nodes[static_cast<std::size_t>(st.wrt)],
+                           rhs);
         }
         const Op* op = ops.data();
         const auto i = static_cast<std::size_t>(e.index);

@@ -155,10 +155,6 @@ class Mna_system {
 public:
     explicit Mna_system(const Circuit& circuit);
 
-    std::size_t unknown_count() const { return total_unknowns_; }
-    std::size_t node_unknown_count() const { return unknown_nodes_.size(); }
-    std::size_t branch_count() const { return branches_.size(); }
-
     /// Fill driven-node voltages for time t into the full voltage vector.
     void apply_driven(double t, std::vector<double>& voltages) const;
 
@@ -201,7 +197,7 @@ private:
     void classify();
     void compile();
     void bind_elements();
-    Op bind(Node eq, Node wrt, bool rhs);
+    Op route(Node eq, Node wrt, bool rhs);
     void snapshot_capacitances();
 
     /// One Newton iteration's system: evaluate what may have changed,
