@@ -47,7 +47,9 @@ int main()
         for (const auto* wc : {&wc_le3, &wc_euv}) {
             const bool is_le3 = (wc == &wc_le3);
             std::vector<std::string> row{
-                law.name, is_le3 ? "LELELE" : "EUV"};
+                law.name, std::string(tech::to_string(
+                              is_le3 ? tech::Patterning_option::le3
+                                     : tech::Patterning_option::euv))};
             for (int n : {16, 64, 256, 1024}) {
                 analytic::Td_params p = session.formula_params(n);
                 p.c_pre = law.c_pre;

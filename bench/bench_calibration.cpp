@@ -66,12 +66,9 @@ Eval evaluate(const Knobs& k)
     Eval e{};
     e.error = 0.0;
 
-    const tech::Patterning_option options[3] = {
-        tech::Patterning_option::le3, tech::Patterning_option::sadp,
-        tech::Patterning_option::euv};
-
     for (int i = 0; i < 3; ++i) {
-        const auto engine = pattern::make_engine(options[i], t);
+        const auto engine = pattern::make_engine(
+            tech::patterning_option_tokens.values[i], t);
         const geom::Wire_array nominal =
             engine->decompose(sram::build_metal1_array(t, cfg));
         const sram::Victim_wires v = sram::find_victim_wires(nominal, cfg);
@@ -107,9 +104,9 @@ void report(const Knobs& k)
 
     util::Table table({"Option", "Cbl model", "Cbl paper", "Rbl model",
                        "Rbl paper"});
-    const char* names[3] = {"LELELE", "SADP", "EUV"};
     for (int i = 0; i < 3; ++i) {
-        table.add_row({names[i], util::fmt_percent(e.cbl[i] / 100.0, 2),
+        table.add_row({std::string(tech::patterning_option_tokens.tokens[i]),
+                       util::fmt_percent(e.cbl[i] / 100.0, 2),
                        util::fmt_percent(targets.cbl[i] / 100.0, 2),
                        util::fmt_percent(e.rbl[i] / 100.0, 2),
                        util::fmt_percent(targets.rbl[i] / 100.0, 2)});

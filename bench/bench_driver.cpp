@@ -76,7 +76,8 @@ Scaling_outcome run_thread_scaling(const Scaling_config& cfg)
 
         for (int pi = 0; pi < 2; ++pi) {
             std::vector<std::string> row = {
-                std::to_string(threads), sram::to_string(policies[pi]),
+                std::to_string(threads),
+                std::string(sram::to_string(policies[pi])),
                 util::fmt_fixed(p.wall_s[pi], 3)};
             if (cfg.sims_per_row > 0.0) {
                 row.push_back(util::fmt_fixed(p.sims_per_s[pi], 2));
@@ -171,7 +172,7 @@ Agreement run_option_agreement(
                   "agreement gate needs a query factory");
     Agreement agreement;
     const core::Study_session session;
-    for (const auto option : tech::all_patterning_options) {
+    for (const auto option : tech::patterning_option_tokens.values) {
         const core::Query query = make_query(option);
         core::Query fast_query =
             core::Query(query).with_accuracy(sram::Sim_accuracy::fast);
@@ -205,7 +206,7 @@ void print_step_table(const spice::Step_stats steps[2])
                        "newton rejected", "total solves", "newton iters",
                        "lu factors", "bypass hits"});
     for (int pi = 0; pi < 2; ++pi) {
-        table.add_row({sram::to_string(policies[pi]),
+        table.add_row({std::string(sram::to_string(policies[pi])),
                        std::to_string(steps[pi].accepted),
                        std::to_string(steps[pi].lte_rejected),
                        std::to_string(steps[pi].newton_rejected),
@@ -303,10 +304,7 @@ void write_bench_json(const Scaling_config& cfg,
          << sram::to_string(sram::resolve_solver_policy(
                 sram::Sim_accuracy::reference, std::nullopt))
          << "\", \"integration_method\": \""
-         << (default_topts.method ==
-                     spice::Integration_method::trapezoidal
-                 ? "trapezoidal"
-                 : "backward_euler")
+         << spice::integration_method_tokens.name(default_topts.method)
          << "\", \"sim_accuracy\": \""
          << sram::to_string(sram::default_sim_accuracy())
          << "\", \"cache_mode\": \""

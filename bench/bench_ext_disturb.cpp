@@ -59,7 +59,7 @@ int main(int argc, char** argv)
 
         util::Table table({"option", "array", "v_bump nominal",
                            "bump / (vdd/2)", "v_bump worst", "disturb"});
-        for (const auto option : tech::all_patterning_options) {
+        for (const auto option : tech::patterning_option_tokens.values) {
             const auto rows =
                 session.run(core::Query(core::Metric::disturb)
                                 .over_word_lines(option, sizes)

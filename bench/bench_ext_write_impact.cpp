@@ -66,7 +66,7 @@ int main(int argc, char** argv)
 
         util::Table table({"option", "array", "tw nominal",
                            "tw formula", "twp", "tdp (read)"});
-        for (const auto option : tech::all_patterning_options) {
+        for (const auto option : tech::patterning_option_tokens.values) {
             const auto write =
                 session.run(core::Query(core::Metric::write_tw)
                                 .over_word_lines(option, sizes)

@@ -147,7 +147,7 @@ int main(int argc, char** argv)
     {
         const core::Study_session session;
         const core::Runner_options parallel{hw};
-        for (const auto option : tech::all_patterning_options) {
+        for (const auto option : tech::patterning_option_tokens.values) {
             Option_report rep;
             rep.name = std::string(tech::to_string(option));
 

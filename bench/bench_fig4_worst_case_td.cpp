@@ -57,8 +57,9 @@ int main(int argc, char** argv)
         rows[oi] =
             session
                 .run(core::Query(core::Metric::read_td)
-                         .over_word_lines(tech::all_patterning_options[oi],
-                                          sizes)
+                         .over_word_lines(
+                             tech::patterning_option_tokens.values[oi],
+                             sizes)
                          .with_accuracy(accuracy)
                          .on(core::Runner_options::parallel()))
                 .column<core::Read_row>();

@@ -75,7 +75,8 @@ std::vector<Matrix_entry> run_solver_matrix(const std::vector<int>& sizes)
         sim.simulate(t, cell, wires, cfg, {}, {}, warm);
 
         double direct_wall = 0.0;
-        for (const spice::Solver_policy policy : sram::solver_policies) {
+        for (const spice::Solver_policy policy :
+             sram::solver_policy_tokens.values) {
             sram::Read_options opts;
             opts.accuracy = sram::Sim_accuracy::fast;
             opts.solver = policy;
@@ -106,7 +107,7 @@ void print_solver_matrix(const std::vector<Matrix_entry>& matrix)
                        "bypass hits", "device evals"});
     for (const Matrix_entry& e : matrix) {
         table.add_row({std::to_string(e.word_lines),
-                       sram::to_string(e.policy),
+                       std::string(sram::to_string(e.policy)),
                        util::fmt_fixed(e.wall_s, 3),
                        util::fmt_fixed(e.speedup_vs_direct, 2) + "x",
                        std::to_string(e.steps.newton_iterations),
@@ -195,7 +196,7 @@ int main(int argc, char** argv)
     bench::Agreement gate_bypass;
     {
         const core::Study_session session;
-        for (const auto option : tech::all_patterning_options) {
+        for (const auto option : tech::patterning_option_tokens.values) {
             const core::Query query =
                 core::Query(core::Metric::read_td)
                     .over_word_lines(option, fig4_sizes)
@@ -217,7 +218,8 @@ int main(int argc, char** argv)
     // --- bitwise thread determinism per tier ----------------------------------
     std::cout << "\nPer-tier determinism (read_td sweep, LE3):\n";
     bool deterministic = true;
-    for (const spice::Solver_policy policy : sram::solver_policies) {
+    for (const spice::Solver_policy policy :
+         sram::solver_policy_tokens.values) {
         deterministic = policy_deterministic(policy) && deterministic;
     }
 

@@ -44,7 +44,7 @@ int main()
     // option axis, corner enumerations on every core.
     const auto rows = session.run(
         core::Query(core::Metric::worst_case_rc)
-            .over_options(tech::all_patterning_options)
+            .over_options(tech::patterning_option_tokens.values)
             .on(core::Runner_options::parallel()));
 
     for (std::size_t i = 0; i < std::size(paper_rows); ++i) {

@@ -52,15 +52,22 @@ int main(int argc, char** argv)
     std::cout << "Table III: formula versus simulation tdp values (%) using\n"
                  "the worst case variability\n\n";
 
-    util::Table table({"Method", "Array size", "LELELE", "SADP", "EUV",
-                       "paper LELELE", "paper SADP", "paper EUV"});
+    std::vector<std::string> header = {"Method", "Array size"};
+    for (const std::string_view label : tech::patterning_option_tokens.tokens) {
+        header.emplace_back(label);
+    }
+    for (const std::string_view label : tech::patterning_option_tokens.tokens) {
+        header.push_back("paper " + std::string(label));
+    }
+    util::Table table(header);
 
     // Every (option, size) cell on one query; the memoized corner search
     // means each option's worst case is enumerated exactly once.
     core::Query query(core::Metric::worst_case_tdp);
     for (int si = 0; si < 4; ++si) {
         for (int oi = 0; oi < 3; ++oi) {
-            query.with_case({tech::all_patterning_options[oi], sizes[si]});
+            query.with_case(
+                {tech::patterning_option_tokens.values[oi], sizes[si]});
         }
     }
     const auto rows = session.run(query.with_accuracy(accuracy).on(

@@ -37,17 +37,16 @@ int main()
                        "paper sigma"});
 
     const struct {
-        const char* label;
         tech::Patterning_option option;
         double ol;
         double paper;
     } rows[] = {
-        {"LELELE 3nm OL", tech::Patterning_option::le3, 3e-9, 0.414},
-        {"LELELE 5nm OL", tech::Patterning_option::le3, 5e-9, 0.454},
-        {"LELELE 7nm OL", tech::Patterning_option::le3, 7e-9, 0.552},
-        {"LELELE 8nm OL", tech::Patterning_option::le3, 8e-9, 0.753},
-        {"SADP", tech::Patterning_option::sadp, -1.0, 0.317},
-        {"EUV", tech::Patterning_option::euv, -1.0, 0.415},
+        {tech::Patterning_option::le3, 3e-9, 0.414},
+        {tech::Patterning_option::le3, 5e-9, 0.454},
+        {tech::Patterning_option::le3, 7e-9, 0.552},
+        {tech::Patterning_option::le3, 8e-9, 0.753},
+        {tech::Patterning_option::sadp, -1.0, 0.317},
+        {tech::Patterning_option::euv, -1.0, 0.415},
     };
 
     double sigma_le3_8 = 0.0;
@@ -58,7 +57,11 @@ int main()
         if (r.option == tech::Patterning_option::sadp) {
             sigma_sadp = dist.summary.stddev;
         }
-        table.add_row({r.label, util::fmt_fixed(dist.summary.stddev, 3),
+        std::string label(tech::to_string(r.option));
+        if (r.ol > 0.0) {
+            label += " " + util::fmt_fixed(r.ol / 1e-9, 0) + "nm OL";
+        }
+        table.add_row({label, util::fmt_fixed(dist.summary.stddev, 3),
                        util::fmt_fixed(r.paper, 3)});
     }
     std::cout << table.render() << '\n';

@@ -47,7 +47,7 @@ int main()
             {"option", "worst dCbl", "worst dRbl", "sigma(tdp) @10x64"});
         mc::Distribution_options mo;
         mo.samples = 8000;
-        for (const auto option : tech::all_patterning_options) {
+        for (const auto option : tech::patterning_option_tokens.values) {
             const auto wc =
                 session.run(core::Query(core::Metric::worst_case_rc)
                                 .with_case({option, 0}))

@@ -47,7 +47,7 @@ int main()
     const auto& rules = session.technology().metal1.drc;
     constexpr int n = 64;
 
-    for (const auto option : tech::all_patterning_options) {
+    for (const auto option : tech::patterning_option_tokens.values) {
         const auto wc = session.worst_case_full(option, n);
         const auto nominal = session.decomposed_array(option, n);
         const std::size_t victim =

@@ -30,7 +30,7 @@ int main()
     util::Table t1({"option", "worst corner", "dCbl", "dRbl"});
     const auto table1 =
         session.run(core::Query(core::Metric::worst_case_rc)
-                        .over_options(tech::all_patterning_options));
+                        .over_options(tech::patterning_option_tokens.values));
     for (const auto& row : table1.column<core::Worst_case_row>()) {
         t1.add_row({std::string(tech::to_string(row.option)), row.corner,
                     util::fmt_percent(row.cbl_percent / 100.0, 2),

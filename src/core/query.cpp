@@ -4,42 +4,6 @@
 
 namespace mpsram::core {
 
-std::string_view to_string(Metric metric)
-{
-    switch (metric) {
-    case Metric::worst_case_rc: return "worst_case_rc";
-    case Metric::read_td: return "read_td";
-    case Metric::nominal_td: return "nominal_td";
-    case Metric::worst_case_tdp: return "worst_case_tdp";
-    case Metric::mc_tdp: return "mc_tdp";
-    case Metric::write_tw: return "write_tw";
-    case Metric::nominal_tw: return "nominal_tw";
-    case Metric::mc_twp: return "mc_twp";
-    case Metric::disturb: return "disturb";
-    }
-    return "unknown";
-}
-
-std::string_view to_string(Tdp_engine engine)
-{
-    switch (engine) {
-    case Tdp_engine::formula: return "formula";
-    case Tdp_engine::spice: return "spice";
-    case Tdp_engine::surrogate: return "surrogate";
-    }
-    return "unknown";
-}
-
-std::string_view to_string(Twp_engine engine)
-{
-    switch (engine) {
-    case Twp_engine::spice: return "spice";
-    case Twp_engine::formula: return "formula";
-    case Twp_engine::surrogate: return "surrogate";
-    }
-    return "unknown";
-}
-
 Result_table::Result_table(Metric metric, std::vector<Query_case> cases,
                            std::vector<Row_value> rows)
     : metric_(metric), cases_(std::move(cases)), rows_(std::move(rows))

@@ -32,6 +32,7 @@
 #include "mc/distribution.h"
 #include "sram/sim_accuracy.h"
 #include "tech/patterning_option.h"
+#include "util/token_table.h"
 
 namespace mpsram::core {
 
@@ -50,7 +51,21 @@ enum class Metric {
     disturb,         ///< half-select read-disturb bump, nominal vs corner
 };
 
-std::string_view to_string(Metric metric);
+inline constexpr auto metric_tokens = util::token_table<Metric>(
+    "metric", {{Metric::worst_case_rc, "worst_case_rc"},
+               {Metric::read_td, "read_td"},
+               {Metric::nominal_td, "nominal_td"},
+               {Metric::worst_case_tdp, "worst_case_tdp"},
+               {Metric::mc_tdp, "mc_tdp"},
+               {Metric::write_tw, "write_tw"},
+               {Metric::nominal_tw, "nominal_tw"},
+               {Metric::mc_twp, "mc_twp"},
+               {Metric::disturb, "disturb"}});
+
+inline std::string_view to_string(Metric metric)
+{
+    return metric_tokens.name(metric);
+}
 
 /// One case (result row request) of a query: a point on the study's axes.
 /// Metrics that do not depend on an axis ignore it — `nominal_td` /
@@ -101,8 +116,23 @@ enum class Tdp_engine { formula, spice, surrogate };
 /// calibrated response surface (see the tier table above).
 enum class Twp_engine { spice, formula, surrogate };
 
-std::string_view to_string(Tdp_engine engine);
-std::string_view to_string(Twp_engine engine);
+inline constexpr auto tdp_engine_tokens = util::token_table<Tdp_engine>(
+    "tdp engine", {{Tdp_engine::formula, "formula"},
+                   {Tdp_engine::spice, "spice"},
+                   {Tdp_engine::surrogate, "surrogate"}});
+inline constexpr auto twp_engine_tokens = util::token_table<Twp_engine>(
+    "twp engine", {{Twp_engine::spice, "spice"},
+                   {Twp_engine::formula, "formula"},
+                   {Twp_engine::surrogate, "surrogate"}});
+
+inline std::string_view to_string(Tdp_engine engine)
+{
+    return tdp_engine_tokens.name(engine);
+}
+inline std::string_view to_string(Twp_engine engine)
+{
+    return twp_engine_tokens.name(engine);
+}
 
 /// A declarative study request: metric + cases + execution policy.
 /// Execution contract: results are indexed like `cases` and bitwise

@@ -23,12 +23,8 @@ std::atomic<std::uint64_t> global_stores{0};
 
 Cache_mode parse_cache_mode(std::string_view text)
 {
-    if (text == "off") return Cache_mode::off;
-    if (text == "read") return Cache_mode::read;
-    if (text == "readwrite") return Cache_mode::readwrite;
-    throw util::Precondition_error(
-        "invalid MPSRAM_CACHE value '" + std::string(text) +
-        "' (accepted: 'off', 'read', 'readwrite')");
+    return cache_mode_tokens.parse_or_throw(text,
+                                            "invalid MPSRAM_CACHE value");
 }
 
 Cache_mode default_cache_mode()
@@ -60,16 +56,6 @@ const std::optional<std::string>& default_cache_dir()
         return parse_cache_dir(env);
     }();
     return dir;
-}
-
-const char* to_string(Cache_mode mode)
-{
-    switch (mode) {
-    case Cache_mode::off: return "off";
-    case Cache_mode::read: return "read";
-    case Cache_mode::readwrite: return "readwrite";
-    }
-    return "off";
 }
 
 Result_cache::Result_cache(std::string directory, Cache_mode mode,

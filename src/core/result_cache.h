@@ -40,12 +40,23 @@
 #include <string_view>
 
 #include "util/json.h"
+#include "util/token_table.h"
 
 namespace mpsram::core {
 
 enum class Cache_mode { off, read, readwrite };
 
-/// Parse a cache-mode token ('off', 'read' or 'readwrite').  Any other
+inline constexpr auto cache_mode_tokens = util::token_table<Cache_mode>(
+    "cache mode", {{Cache_mode::off, "off"},
+                   {Cache_mode::read, "read"},
+                   {Cache_mode::readwrite, "readwrite"}});
+
+inline std::string_view to_string(Cache_mode mode)
+{
+    return cache_mode_tokens.name(mode);
+}
+
+/// Parse a cache-mode token (one of cache_mode_tokens).  Any other
 /// value throws util::Precondition_error naming the offending value and
 /// the accepted set.  Exposed separately from default_cache_mode() so the
 /// rejection path is unit-testable (the default is memoized per process).
@@ -64,8 +75,6 @@ std::string parse_cache_dir(std::string_view text);
 /// Process-wide default cache directory from MPSRAM_CACHE_DIR; nullopt
 /// when the variable is unset (no cache unless Cache_options names one).
 const std::optional<std::string>& default_cache_dir();
-
-const char* to_string(Cache_mode mode);
 
 /// Per-session cache policy (core::Study_options).  Unset fields fall
 /// back to the environment pins above.  Deliberately NOT part of the

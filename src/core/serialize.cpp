@@ -1,5 +1,8 @@
 #include "core/serialize.h"
 
+#include <cmath>
+#include <concepts>
+#include <limits>
 #include <utility>
 
 #include "sram/solver_policy.h"
@@ -14,393 +17,364 @@ using util::Json;
 using util::Json_array;
 using util::json_of_double;
 
-// --- enum token helpers ------------------------------------------------------
-// Dedicated parsers (not the env-pin parse_* functions) so a corrupted
-// cache entry reports a serialization error, not a bogus environment
-// message.
+// --- field lists -------------------------------------------------------------
+// One list per round-tripped record, naming each member once in key order.
+// Encoder (json_of_*) and Decoder (*_of_json) both walk it, so the two
+// directions cannot drift apart.  `R` is the record type, const-qualified
+// when encoding; an enum member names its token table.
 
-[[noreturn]] void bad_token(const char* what, const std::string& token,
-                            const std::string& accepted = {})
+template <class R, class T>
+concept record_of = std::same_as<std::remove_const_t<R>, T>;
+
+template <record_of<Query_case> R, class F>
+void fields(R& c, F&& f)
 {
-    throw util::Precondition_error(
-        std::string("unknown ") + what + " token '" + token + "'" +
-        (accepted.empty() ? "" : " (accepted: " + accepted + ")"));
+    f("option", c.option, tech::patterning_option_tokens);
+    f("word_lines", c.word_lines);
+    f("ol_3sigma", c.ol_3sigma);
 }
 
-Metric metric_of_string(const std::string& s)
+/// The Monte-Carlo spec.  Its runner is execution policy: never encoded.
+template <record_of<mc::Distribution_options> R, class F>
+void fields(R& m, F&& f)
 {
-    for (int i = 0; i < 9; ++i) {
-        const auto m = static_cast<Metric>(i);
-        if (to_string(m) == s) return m;
+    f("samples", m.samples);
+    f("seed", m.seed);
+    f("truncate_k", m.truncate_k);
+    f("sampling", m.sampling, mc::sampling_tokens);
+    f("store_samples", m.store_samples);
+}
+
+/// The query runner is execution policy and is not encoded either.
+template <record_of<Query> R, class F>
+void fields(R& q, F&& f)
+{
+    f("metric", q.metric, metric_tokens);
+    f("cases", q.cases);
+    f("accuracy", q.accuracy, sram::sim_accuracy_tokens);
+    f("solver", q.solver, sram::solver_policy_tokens);
+    f("mc", q.mc);
+    f("tdp_engine", q.tdp_engine, tdp_engine_tokens);
+    f("twp_engine", q.twp_engine, twp_engine_tokens);
+}
+
+template <record_of<util::Sample_summary> R, class F>
+void fields(R& s, F&& f)
+{
+    f("count", s.count);
+    f("mean", s.mean);
+    f("stddev", s.stddev);
+    f("min", s.min);
+    f("max", s.max);
+    f("median", s.median);
+    f("p01", s.p01);
+    f("p99", s.p99);
+}
+
+template <record_of<Worst_case_row> R, class F>
+void fields(R& r, F&& f)
+{
+    f("option", r.option, tech::patterning_option_tokens);
+    f("corner", r.corner);
+    f("cbl_percent", r.cbl_percent);
+    f("rbl_percent", r.rbl_percent);
+    f("vss_r_percent", r.vss_r_percent);
+}
+
+template <record_of<Read_row> R, class F>
+void fields(R& r, F&& f)
+{
+    f("td_nominal", r.td_nominal);
+    f("td_varied", r.td_varied);
+    f("tdp_percent", r.tdp_percent);
+}
+
+template <record_of<Nominal_td_row> R, class F>
+void fields(R& r, F&& f)
+{
+    f("td_simulation", r.td_simulation);
+    f("td_formula", r.td_formula);
+}
+
+template <record_of<Tdp_row> R, class F>
+void fields(R& r, F&& f)
+{
+    f("tdp_simulation", r.tdp_simulation);
+    f("tdp_formula", r.tdp_formula);
+}
+
+template <record_of<Write_row> R, class F>
+void fields(R& r, F&& f)
+{
+    f("tw_nominal", r.tw_nominal);
+    f("tw_varied", r.tw_varied);
+    f("twp_percent", r.twp_percent);
+}
+
+template <record_of<Nominal_tw_row> R, class F>
+void fields(R& r, F&& f)
+{
+    f("tw_simulation", r.tw_simulation);
+    f("tw_formula", r.tw_formula);
+}
+
+template <record_of<Disturb_row> R, class F>
+void fields(R& r, F&& f)
+{
+    f("v_bump_nominal", r.v_bump_nominal);
+    f("v_bump_varied", r.v_bump_varied);
+    f("disturb_percent", r.disturb_percent);
+}
+
+template <record_of<mc::Tdp_distribution> R, class F>
+void fields(R& d, F&& f)
+{
+    f("tdp", d.tdp);
+    f("rvar", d.rvar);
+    f("cvar", d.cvar);
+    f("summary", d.summary);
+}
+
+/// The "type" tag of each Row_value alternative, by variant index.
+constexpr auto row_types = util::token_table<std::size_t>(
+    "result row type", {{0, "worst_case"},
+                        {1, "read"},
+                        {2, "nominal_td"},
+                        {3, "worst_case_tdp"},
+                        {4, "write"},
+                        {5, "nominal_tw"},
+                        {6, "disturb"},
+                        {7, "distribution"}});
+static_assert(row_types.size() == std::variant_size_v<Row_value>);
+
+template <record_of<pattern::Corner> R, class F>
+void fields(R& c, F&& f)
+{
+    f("sample", c.sample);
+    f("metric", c.metric);
+}
+
+template <record_of<extract::Rc_variation> R, class F>
+void fields(R& v, F&& f)
+{
+    f("r_factor", v.r_factor);
+    f("c_factor", v.c_factor);
+}
+
+/// The realized geometry is the full Wire_array, one object per wire.
+template <record_of<mc::Worst_case_result> R, class F>
+void fields(R& wc, F&& f)
+{
+    f("corner", wc.corner);
+    f("variation", wc.variation);
+    f("vss_r_factor", wc.vss_r_factor);
+    f("realized", wc.realized);
+}
+
+template <record_of<geom::Wire> R, class F>
+void fields(R& w, F&& f)
+{
+    f("net", w.net);
+    f("y_center", w.y_center);
+    f("width", w.width);
+    f("length", w.length);
+    f("color", w.color, geom::mask_color_tokens);
+    f("sadp", w.sadp, geom::sadp_class_tokens);
+}
+
+template <record_of<analytic::Yield_surfaces> R, class F>
+void fields(R& s, F&& f)
+{
+    f("metric", s.metric);
+    f("rvar", s.rvar);
+    f("cvar", s.cvar);
+    f("holdout_rel", s.holdout_rel);
+    f("design_span", s.design_span);
+    f("design_points", s.design_points);
+    f("holdout_points", s.holdout_points);
+}
+
+// --- the two walkers ---------------------------------------------------------
+// Value kinds: doubles through util::json_of_double (NaN-tagged), ints as
+// numbers, u64 (seeds, counts) as u64, enums as their table token.
+
+struct Encoder {
+    Json& j;
+
+    template <class T>
+    void operator()(std::string_view key, const T& value) const
+    {
+        j.set(key, of(value));
     }
-    bad_token("metric", s);
-}
-
-tech::Patterning_option option_of_string(const std::string& s)
-{
-    for (const auto option : tech::all_patterning_options) {
-        if (tech::to_string(option) == s) return option;
+    template <class E, std::size_t N>
+    void operator()(std::string_view key, const E& value,
+                    const util::Token_table<E, N>& tokens) const
+    {
+        j.set(key, tokens.name(value));
     }
-    bad_token("patterning option", s);
-}
-
-Tdp_engine tdp_engine_of_string(const std::string& s)
-{
-    for (const auto e : {Tdp_engine::formula, Tdp_engine::spice,
-                         Tdp_engine::surrogate}) {
-        if (to_string(e) == s) return e;
+    template <class E, std::size_t N>
+    void operator()(std::string_view key, const std::optional<E>& value,
+                    const util::Token_table<E, N>& tokens) const
+    {
+        if (value) j.set(key, tokens.name(*value));
     }
-    bad_token("tdp engine", s);
-}
 
-Twp_engine twp_engine_of_string(const std::string& s)
-{
-    for (const auto e : {Twp_engine::spice, Twp_engine::formula,
-                         Twp_engine::surrogate}) {
-        if (to_string(e) == s) return e;
-    }
-    bad_token("twp engine", s);
-}
-
-const char* string_of_sampling(mc::Sampling s)
-{
-    return s == mc::Sampling::latin_hypercube ? "latin_hypercube"
-                                              : "pseudo_random";
-}
-
-mc::Sampling sampling_of_string(const std::string& s)
-{
-    if (s == "pseudo_random") return mc::Sampling::pseudo_random;
-    if (s == "latin_hypercube") return mc::Sampling::latin_hypercube;
-    bad_token("sampling scheme", s);
-}
-
-sram::Sim_accuracy accuracy_of_string(const std::string& s)
-{
-    if (s == "fast") return sram::Sim_accuracy::fast;
-    if (s == "reference") return sram::Sim_accuracy::reference;
-    bad_token("sim accuracy", s);
-}
-
-spice::Solver_policy solver_of_string(const std::string& s)
-{
-    for (const auto p : sram::solver_policies) {
-        if (sram::to_string(p) == s) return p;
-    }
-    bad_token("solver policy", s, sram::solver_policy_tokens());
-}
-
-const char* string_of_color(geom::Mask_color c)
-{
-    switch (c) {
-    case geom::Mask_color::unassigned: return "unassigned";
-    case geom::Mask_color::mask_a: return "mask_a";
-    case geom::Mask_color::mask_b: return "mask_b";
-    case geom::Mask_color::mask_c: return "mask_c";
-    }
-    return "unassigned";
-}
-
-geom::Mask_color color_of_string(const std::string& s)
-{
-    for (const auto c : {geom::Mask_color::unassigned,
-                         geom::Mask_color::mask_a, geom::Mask_color::mask_b,
-                         geom::Mask_color::mask_c}) {
-        if (string_of_color(c) == s) return c;
-    }
-    bad_token("mask color", s);
-}
-
-const char* string_of_sadp(geom::Sadp_class c)
-{
-    switch (c) {
-    case geom::Sadp_class::none: return "none";
-    case geom::Sadp_class::mandrel: return "mandrel";
-    case geom::Sadp_class::gap: return "gap";
-    }
-    return "none";
-}
-
-geom::Sadp_class sadp_of_string(const std::string& s)
-{
-    for (const auto c : {geom::Sadp_class::none, geom::Sadp_class::mandrel,
-                         geom::Sadp_class::gap}) {
-        if (string_of_sadp(c) == s) return c;
-    }
-    bad_token("sadp class", s);
-}
-
-int int_of_json(const Json& j)
-{
-    return static_cast<int>(j.as_double());
-}
-
-std::vector<double> doubles_of_json(const Json& j)
-{
-    std::vector<double> out;
-    out.reserve(j.as_array().size());
-    for (const Json& v : j.as_array()) out.push_back(double_of_json(v));
-    return out;
-}
-
-Json json_of_doubles(const std::vector<double>& values)
-{
-    Json_array out;
-    out.reserve(values.size());
-    for (const double v : values) out.push_back(json_of_double(v));
-    return Json(std::move(out));
-}
-
-// --- cases -------------------------------------------------------------------
-
-Json json_of_case(const Query_case& c)
-{
-    Json j;
-    j.set("option", tech::to_string(c.option));
-    j.set("word_lines", c.word_lines);
-    j.set("ol_3sigma", json_of_double(c.ol_3sigma));
-    return j;
-}
-
-Query_case case_of_json(const Json& j)
-{
-    Query_case c;
-    c.option = option_of_string(j.at("option").as_string());
-    c.word_lines = int_of_json(j.at("word_lines"));
-    c.ol_3sigma = double_of_json(j.at("ol_3sigma"));
-    return c;
-}
-
-// --- rows --------------------------------------------------------------------
-
-Json json_of_summary(const util::Sample_summary& s)
-{
-    Json j;
-    j.set("count", static_cast<std::uint64_t>(s.count));
-    j.set("mean", json_of_double(s.mean));
-    j.set("stddev", json_of_double(s.stddev));
-    j.set("min", json_of_double(s.min));
-    j.set("max", json_of_double(s.max));
-    j.set("median", json_of_double(s.median));
-    j.set("p01", json_of_double(s.p01));
-    j.set("p99", json_of_double(s.p99));
-    return j;
-}
-
-util::Sample_summary summary_of_json(const Json& j)
-{
-    util::Sample_summary s;
-    s.count = static_cast<std::size_t>(j.at("count").as_u64());
-    s.mean = double_of_json(j.at("mean"));
-    s.stddev = double_of_json(j.at("stddev"));
-    s.min = double_of_json(j.at("min"));
-    s.max = double_of_json(j.at("max"));
-    s.median = double_of_json(j.at("median"));
-    s.p01 = double_of_json(j.at("p01"));
-    s.p99 = double_of_json(j.at("p99"));
-    return s;
-}
-
-struct Row_writer {
-    Json operator()(const Worst_case_row& r) const
+    static Json of(double v) { return util::json_of_double(v); }
+    static Json of(int v) { return v; }
+    static Json of(std::uint64_t v) { return v; }
+    static Json of(bool v) { return v; }
+    static Json of(const std::string& v) { return v; }
+    static Json of(const geom::Wire_array& w) { return of(w.wires()); }
+    /// A row is its "type" tag followed by its fields.
+    static Json of(const Row_value& row)
     {
         Json j;
-        j.set("type", "worst_case");
-        j.set("option", tech::to_string(r.option));
-        j.set("corner", r.corner);
-        j.set("cbl_percent", json_of_double(r.cbl_percent));
-        j.set("rbl_percent", json_of_double(r.rbl_percent));
-        j.set("vss_r_percent", json_of_double(r.vss_r_percent));
+        j.set("type", row_types.name(row.index()));
+        std::visit([&j](const auto& r) { fields(r, Encoder{j}); }, row);
         return j;
     }
-    Json operator()(const Read_row& r) const
+    static Json of(const analytic::Response_surface& s)
     {
         Json j;
-        j.set("type", "read");
-        j.set("td_nominal", json_of_double(r.td_nominal));
-        j.set("td_varied", json_of_double(r.td_varied));
-        j.set("tdp_percent", json_of_double(r.tdp_percent));
+        j.set("scales", of(s.scales()));
+        j.set("coeffs", of(s.coefficients()));
         return j;
     }
-    Json operator()(const Nominal_td_row& r) const
+    template <class T>
+    static Json of(const std::vector<T>& values)
     {
-        Json j;
-        j.set("type", "nominal_td");
-        j.set("td_simulation", json_of_double(r.td_simulation));
-        j.set("td_formula", json_of_double(r.td_formula));
-        return j;
+        Json_array out;
+        out.reserve(values.size());
+        for (const T& v : values) out.push_back(of(v));
+        return Json(std::move(out));
     }
-    Json operator()(const Tdp_row& r) const
+    template <class R>
+    static Json of(const R& record)
     {
         Json j;
-        j.set("type", "worst_case_tdp");
-        j.set("tdp_simulation", json_of_double(r.tdp_simulation));
-        j.set("tdp_formula", json_of_double(r.tdp_formula));
-        return j;
-    }
-    Json operator()(const Write_row& r) const
-    {
-        Json j;
-        j.set("type", "write");
-        j.set("tw_nominal", json_of_double(r.tw_nominal));
-        j.set("tw_varied", json_of_double(r.tw_varied));
-        j.set("twp_percent", json_of_double(r.twp_percent));
-        return j;
-    }
-    Json operator()(const Nominal_tw_row& r) const
-    {
-        Json j;
-        j.set("type", "nominal_tw");
-        j.set("tw_simulation", json_of_double(r.tw_simulation));
-        j.set("tw_formula", json_of_double(r.tw_formula));
-        return j;
-    }
-    Json operator()(const Disturb_row& r) const
-    {
-        Json j;
-        j.set("type", "disturb");
-        j.set("v_bump_nominal", json_of_double(r.v_bump_nominal));
-        j.set("v_bump_varied", json_of_double(r.v_bump_varied));
-        j.set("disturb_percent", json_of_double(r.disturb_percent));
-        return j;
-    }
-    Json operator()(const mc::Tdp_distribution& d) const
-    {
-        Json j;
-        j.set("type", "distribution");
-        j.set("tdp", json_of_doubles(d.tdp));
-        j.set("rvar", json_of_doubles(d.rvar));
-        j.set("cvar", json_of_doubles(d.cvar));
-        j.set("summary", json_of_summary(d.summary));
+        fields(record, Encoder{j});
         return j;
     }
 };
 
-Row_value row_of_json(const Json& j)
+struct Decoder {
+    const Json& j;
+
+    template <class T>
+    void operator()(std::string_view key, T& value) const
+    {
+        read(j.at(key), value);
+    }
+    void operator()(std::string_view key, int& value) const
+    {
+        // Casting a double outside the int range is UB, and a truncated
+        // word_lines would resolve to some other case than the one sent.
+        const double v = j.at(key).as_double();
+        if (!(v >= std::numeric_limits<int>::min() &&
+              v <= std::numeric_limits<int>::max() && v == std::trunc(v))) {
+            throw util::Precondition_error(
+                "'" + std::string(key) + "' value " + Json(v).dump() +
+                " is not an int");
+        }
+        value = static_cast<int>(v);
+    }
+    template <class E, std::size_t N>
+    void operator()(std::string_view key, E& value,
+                    const util::Token_table<E, N>& tokens) const
+    {
+        value = token(j.at(key), tokens);
+    }
+    template <class E, std::size_t N>
+    void operator()(std::string_view key, std::optional<E>& value,
+                    const util::Token_table<E, N>& tokens) const
+    {
+        if (const Json* x = j.find(key)) value = token(*x, tokens);
+    }
+
+    /// A dedicated prefix (not the env parsers' one), so a corrupted cache
+    /// entry reports a serialization error, not a bogus environment pin.
+    template <class E, std::size_t N>
+    static E token(const Json& x, const util::Token_table<E, N>& tokens)
+    {
+        const std::string& text = x.as_string();
+        if (const std::optional<E> value = tokens.parse(text)) return *value;
+        tokens.reject("unknown " + std::string(tokens.noun) + " token", text);
+    }
+
+    static void read(const Json& x, double& v) { v = util::double_of_json(x); }
+    static void read(const Json& x, std::uint64_t& v) { v = x.as_u64(); }
+    static void read(const Json& x, bool& v) { v = x.as_bool(); }
+    static void read(const Json& x, std::string& v) { v = x.as_string(); }
+    static void read(const Json& x, geom::Wire_array& w)
+    {
+        std::vector<geom::Wire> wires;
+        read(x, wires);
+        w = geom::Wire_array(std::move(wires));
+    }
+    static void read(const Json& x, Row_value& row)
+    {
+        read_row(x, row,
+                 std::make_index_sequence<std::variant_size_v<Row_value>>{});
+    }
+    /// Decode into the alternative the "type" tag names.
+    template <std::size_t... I>
+    static void read_row(const Json& x, Row_value& row,
+                         std::index_sequence<I...>)
+    {
+        const std::size_t type = token(x.at("type"), row_types);
+        ((I == type ? read(x, row.template emplace<I>()) : void()), ...);
+    }
+    static void read(const Json& x, analytic::Response_surface& s)
+    {
+        std::vector<double> scales;
+        std::vector<double> coeffs;
+        read(x.at("scales"), scales);
+        read(x.at("coeffs"), coeffs);
+        s = analytic::Response_surface::restore(std::move(scales),
+                                                std::move(coeffs));
+    }
+    template <class T>
+    static void read(const Json& x, std::vector<T>& values)
+    {
+        const Json_array& items = x.as_array();
+        values.clear();
+        values.reserve(items.size());
+        for (const Json& item : items) read(item, values.emplace_back());
+    }
+    template <class R>
+    static void read(const Json& x, R& record)
+    {
+        fields(record, Decoder{x});
+    }
+};
+
+template <class R>
+R decode(const Json& j)
 {
-    const std::string& type = j.at("type").as_string();
-    if (type == "worst_case") {
-        Worst_case_row r;
-        r.option = option_of_string(j.at("option").as_string());
-        r.corner = j.at("corner").as_string();
-        r.cbl_percent = double_of_json(j.at("cbl_percent"));
-        r.rbl_percent = double_of_json(j.at("rbl_percent"));
-        r.vss_r_percent = double_of_json(j.at("vss_r_percent"));
-        return r;
-    }
-    if (type == "read") {
-        Read_row r;
-        r.td_nominal = double_of_json(j.at("td_nominal"));
-        r.td_varied = double_of_json(j.at("td_varied"));
-        r.tdp_percent = double_of_json(j.at("tdp_percent"));
-        return r;
-    }
-    if (type == "nominal_td") {
-        Nominal_td_row r;
-        r.td_simulation = double_of_json(j.at("td_simulation"));
-        r.td_formula = double_of_json(j.at("td_formula"));
-        return r;
-    }
-    if (type == "worst_case_tdp") {
-        Tdp_row r;
-        r.tdp_simulation = double_of_json(j.at("tdp_simulation"));
-        r.tdp_formula = double_of_json(j.at("tdp_formula"));
-        return r;
-    }
-    if (type == "write") {
-        Write_row r;
-        r.tw_nominal = double_of_json(j.at("tw_nominal"));
-        r.tw_varied = double_of_json(j.at("tw_varied"));
-        r.twp_percent = double_of_json(j.at("twp_percent"));
-        return r;
-    }
-    if (type == "nominal_tw") {
-        Nominal_tw_row r;
-        r.tw_simulation = double_of_json(j.at("tw_simulation"));
-        r.tw_formula = double_of_json(j.at("tw_formula"));
-        return r;
-    }
-    if (type == "disturb") {
-        Disturb_row r;
-        r.v_bump_nominal = double_of_json(j.at("v_bump_nominal"));
-        r.v_bump_varied = double_of_json(j.at("v_bump_varied"));
-        r.disturb_percent = double_of_json(j.at("disturb_percent"));
-        return r;
-    }
-    if (type == "distribution") {
-        mc::Tdp_distribution d;
-        d.tdp = doubles_of_json(j.at("tdp"));
-        d.rvar = doubles_of_json(j.at("rvar"));
-        d.cvar = doubles_of_json(j.at("cvar"));
-        d.summary = summary_of_json(j.at("summary"));
-        return d;
-    }
-    bad_token("result row type", type);
+    R record;
+    Decoder::read(j, record);
+    return record;
 }
 
 } // namespace
 
-// --- query -------------------------------------------------------------------
+// --- transport round-trips ---------------------------------------------------
 
-util::Json json_of_query(const Query& q)
-{
-    Json j;
-    j.set("metric", to_string(q.metric));
-    Json_array cases;
-    cases.reserve(q.cases.size());
-    for (const Query_case& c : q.cases) cases.push_back(json_of_case(c));
-    j.set("cases", std::move(cases));
-    if (q.accuracy) j.set("accuracy", sram::to_string(*q.accuracy));
-    if (q.solver) j.set("solver", sram::to_string(*q.solver));
-    Json mc;
-    mc.set("samples", q.mc.samples);
-    mc.set("seed", q.mc.seed);
-    mc.set("truncate_k", json_of_double(q.mc.truncate_k));
-    mc.set("sampling", string_of_sampling(q.mc.sampling));
-    mc.set("store_samples", q.mc.store_samples);
-    j.set("mc", std::move(mc));
-    j.set("tdp_engine", to_string(q.tdp_engine));
-    j.set("twp_engine", to_string(q.twp_engine));
-    return j;
-}
-
-Query query_of_json(const util::Json& j)
-{
-    Query q(metric_of_string(j.at("metric").as_string()));
-    for (const Json& c : j.at("cases").as_array()) {
-        q.cases.push_back(case_of_json(c));
-    }
-    if (const Json* acc = j.find("accuracy")) {
-        q.accuracy = accuracy_of_string(acc->as_string());
-    }
-    if (const Json* sol = j.find("solver")) {
-        q.solver = solver_of_string(sol->as_string());
-    }
-    const Json& mc = j.at("mc");
-    q.mc.samples = int_of_json(mc.at("samples"));
-    q.mc.seed = mc.at("seed").as_u64();
-    q.mc.truncate_k = double_of_json(mc.at("truncate_k"));
-    q.mc.sampling = sampling_of_string(mc.at("sampling").as_string());
-    q.mc.store_samples = mc.at("store_samples").as_bool();
-    q.tdp_engine = tdp_engine_of_string(j.at("tdp_engine").as_string());
-    q.twp_engine = twp_engine_of_string(j.at("twp_engine").as_string());
-    return q;
-}
-
-// --- result table ------------------------------------------------------------
+util::Json json_of_query(const Query& q) { return Encoder::of(q); }
+Query query_of_json(const util::Json& j) { return decode<Query>(j); }
 
 util::Json json_of_result_table(const Result_table& t)
 {
-    Json j;
-    j.set("metric", to_string(t.metric()));
     Json_array cases;
     Json_array rows;
     cases.reserve(t.size());
     rows.reserve(t.size());
     for (std::size_t i = 0; i < t.size(); ++i) {
-        cases.push_back(json_of_case(t.axes(i)));
-        rows.push_back(std::visit(Row_writer{}, t.raw(i)));
+        cases.push_back(Encoder::of(t.axes(i)));
+        rows.push_back(Encoder::of(t.raw(i)));
     }
+    Json j;
+    j.set("metric", to_string(t.metric()));
     j.set("cases", std::move(cases));
     j.set("rows", std::move(rows));
     return j;
@@ -408,123 +382,30 @@ util::Json json_of_result_table(const Result_table& t)
 
 Result_table result_table_of_json(const util::Json& j)
 {
-    const Metric metric = metric_of_string(j.at("metric").as_string());
-    std::vector<Query_case> cases;
-    for (const Json& c : j.at("cases").as_array()) {
-        cases.push_back(case_of_json(c));
-    }
-    std::vector<Row_value> rows;
-    for (const Json& r : j.at("rows").as_array()) {
-        rows.push_back(row_of_json(r));
-    }
-    return Result_table(metric, std::move(cases), std::move(rows));
+    const Metric metric = Decoder::token(j.at("metric"), metric_tokens);
+    auto cases = decode<std::vector<Query_case>>(j.at("cases"));
+    return Result_table(metric, std::move(cases),
+                        decode<std::vector<Row_value>>(j.at("rows")));
 }
-
-// --- worst case --------------------------------------------------------------
 
 util::Json json_of_worst_case(const mc::Worst_case_result& wc)
 {
-    Json corner;
-    corner.set("sample", json_of_doubles(wc.corner.sample));
-    corner.set("metric", json_of_double(wc.corner.metric));
-
-    Json variation;
-    variation.set("r_factor", json_of_double(wc.variation.r_factor));
-    variation.set("c_factor", json_of_double(wc.variation.c_factor));
-
-    Json_array wires;
-    wires.reserve(wc.realized.size());
-    for (const geom::Wire& w : wc.realized.wires()) {
-        Json wire;
-        wire.set("net", w.net);
-        wire.set("y_center", json_of_double(w.y_center));
-        wire.set("width", json_of_double(w.width));
-        wire.set("length", json_of_double(w.length));
-        wire.set("color", string_of_color(w.color));
-        wire.set("sadp", string_of_sadp(w.sadp));
-        wires.push_back(std::move(wire));
-    }
-
-    Json j;
-    j.set("corner", std::move(corner));
-    j.set("variation", std::move(variation));
-    j.set("vss_r_factor", json_of_double(wc.vss_r_factor));
-    j.set("realized", std::move(wires));
-    return j;
+    return Encoder::of(wc);
 }
 
 mc::Worst_case_result worst_case_of_json(const util::Json& j)
 {
-    mc::Worst_case_result wc;
-    const Json& corner = j.at("corner");
-    wc.corner.sample = doubles_of_json(corner.at("sample"));
-    wc.corner.metric = double_of_json(corner.at("metric"));
-    const Json& variation = j.at("variation");
-    wc.variation.r_factor = double_of_json(variation.at("r_factor"));
-    wc.variation.c_factor = double_of_json(variation.at("c_factor"));
-    wc.vss_r_factor = double_of_json(j.at("vss_r_factor"));
-
-    std::vector<geom::Wire> wires;
-    for (const Json& wire : j.at("realized").as_array()) {
-        geom::Wire w;
-        w.net = wire.at("net").as_string();
-        w.y_center = double_of_json(wire.at("y_center"));
-        w.width = double_of_json(wire.at("width"));
-        w.length = double_of_json(wire.at("length"));
-        w.color = color_of_string(wire.at("color").as_string());
-        w.sadp = sadp_of_string(wire.at("sadp").as_string());
-        wires.push_back(std::move(w));
-    }
-    wc.realized = geom::Wire_array(std::move(wires));
-    return wc;
+    return decode<mc::Worst_case_result>(j);
 }
-
-// --- surrogate surfaces ------------------------------------------------------
-
-namespace {
-
-Json json_of_surface(const analytic::Response_surface& s)
-{
-    Json j;
-    j.set("scales", json_of_doubles(s.scales()));
-    j.set("coeffs", json_of_doubles(s.coefficients()));
-    return j;
-}
-
-analytic::Response_surface surface_of_json(const Json& j)
-{
-    return analytic::Response_surface::restore(
-        doubles_of_json(j.at("scales")), doubles_of_json(j.at("coeffs")));
-}
-
-} // namespace
 
 util::Json json_of_surfaces(const analytic::Yield_surfaces& s)
 {
-    Json j;
-    j.set("metric", json_of_surface(s.metric));
-    j.set("rvar", json_of_surface(s.rvar));
-    j.set("cvar", json_of_surface(s.cvar));
-    j.set("holdout_rel", json_of_double(s.holdout_rel));
-    j.set("design_span", json_of_double(s.design_span));
-    j.set("design_points", static_cast<std::uint64_t>(s.design_points));
-    j.set("holdout_points", static_cast<std::uint64_t>(s.holdout_points));
-    return j;
+    return Encoder::of(s);
 }
 
 analytic::Yield_surfaces surfaces_of_json(const util::Json& j)
 {
-    analytic::Yield_surfaces s;
-    s.metric = surface_of_json(j.at("metric"));
-    s.rvar = surface_of_json(j.at("rvar"));
-    s.cvar = surface_of_json(j.at("cvar"));
-    s.holdout_rel = double_of_json(j.at("holdout_rel"));
-    s.design_span = double_of_json(j.at("design_span"));
-    s.design_points =
-        static_cast<std::size_t>(j.at("design_points").as_u64());
-    s.holdout_points =
-        static_cast<std::size_t>(j.at("holdout_points").as_u64());
-    return s;
+    return decode<analytic::Yield_surfaces>(j);
 }
 
 // --- canonical cache keys ----------------------------------------------------
@@ -621,10 +502,7 @@ Json json_of_study_options(const Study_options& o)
     read.set("min_window", json_of_double(o.read.min_window));
     read.set("window_per_cell", json_of_double(o.read.window_per_cell));
     read.set("max_retries", o.read.max_retries);
-    read.set("method",
-             o.read.method == spice::Integration_method::trapezoidal
-                 ? "trapezoidal"
-                 : "backward_euler");
+    read.set("method", spice::integration_method_tokens.name(o.read.method));
     read.set("accuracy", sram::to_string(o.read.accuracy));
     if (o.read.solver) read.set("solver", sram::to_string(*o.read.solver));
     j.set("read", std::move(read));
@@ -677,15 +555,24 @@ Json json_of_study_options(const Study_options& o)
     return j;
 }
 
-/// Canonical resolved case for key material: session-default word_lines
-/// resolved, negative overlay budgets collapsed onto -1 (every "use the
-/// technology default" spelling shares one entry).
-Json canonical_case(const Query_case& c, int default_word_lines)
+/// Key material of a case: negative overlay budgets collapse onto -1
+/// (every "use the technology default" spelling shares one entry).
+void set_case(Json& j, Query_case c)
 {
-    Query_case resolved = c;
-    if (resolved.word_lines <= 0) resolved.word_lines = default_word_lines;
-    if (resolved.ol_3sigma < 0.0) resolved.ol_3sigma = -1.0;
-    return json_of_case(resolved);
+    if (c.ol_3sigma < 0.0) c.ol_3sigma = -1.0;
+    fields(c, Encoder{j});
+}
+
+/// The members every key starts with: what is keyed, the encoding
+/// version and, for all but the fingerprint itself, the configuration.
+Json key_head(std::string_view kind,
+              std::optional<std::uint64_t> fingerprint)
+{
+    Json j;
+    j.set("kind", kind);
+    j.set("version", serialization_version);
+    if (fingerprint) j.set("fingerprint", util::hex16(*fingerprint));
+    return j;
 }
 
 } // namespace
@@ -693,9 +580,7 @@ Json canonical_case(const Query_case& c, int default_word_lines)
 std::uint64_t config_fingerprint(const tech::Technology& tech,
                                  const Study_options& opts)
 {
-    Json j;
-    j.set("kind", "config");
-    j.set("version", serialization_version);
+    Json j = key_head("config", std::nullopt);
     j.set("technology", json_of_technology(tech));
     j.set("options", json_of_study_options(opts));
     return util::fnv1a(j.dump());
@@ -718,16 +603,15 @@ util::Json canonical_query_json(const Study_session& session,
     const sram::Sim_accuracy disturb_acc =
         q.accuracy.value_or(opts.disturb.accuracy);
 
-    Json j;
-    j.set("kind", "query");
-    j.set("version", serialization_version);
-    j.set("fingerprint",
-          util::hex16(config_fingerprint(session.technology(), opts)));
+    Json j = key_head("query",
+                      config_fingerprint(session.technology(), opts));
     j.set("metric", to_string(q.metric));
+    // Cases with the session-default word_lines resolved.
     Json_array cases;
     cases.reserve(q.cases.size());
-    for (const Query_case& c : q.cases) {
-        cases.push_back(canonical_case(c, opts.array.word_lines));
+    for (Query_case c : q.cases) {
+        if (c.word_lines <= 0) c.word_lines = opts.array.word_lines;
+        set_case(cases.emplace_back(), c);
     }
     j.set("cases", std::move(cases));
 
@@ -761,13 +645,7 @@ util::Json canonical_query_json(const Study_session& session,
     solver.set("disturb", solver_token(disturb_acc, opts.disturb.solver));
     j.set("solver", std::move(solver));
 
-    Json mc;
-    mc.set("samples", q.mc.samples);
-    mc.set("seed", q.mc.seed);
-    mc.set("truncate_k", json_of_double(q.mc.truncate_k));
-    mc.set("sampling", string_of_sampling(q.mc.sampling));
-    mc.set("store_samples", q.mc.store_samples);
-    j.set("mc", std::move(mc));
+    j.set("mc", Encoder::of(q.mc));
     j.set("tdp_engine", to_string(q.tdp_engine));
     j.set("twp_engine", to_string(q.twp_engine));
     return j;
@@ -782,14 +660,8 @@ std::uint64_t corner_key(std::uint64_t fingerprint,
                          tech::Patterning_option option, int word_lines,
                          double ol_3sigma)
 {
-    Json j;
-    j.set("kind", "corner");
-    j.set("version", serialization_version);
-    j.set("fingerprint", util::hex16(fingerprint));
-    j.set("option", tech::to_string(option));
-    j.set("word_lines", word_lines);
-    j.set("ol_3sigma",
-          json_of_double(ol_3sigma < 0.0 ? -1.0 : ol_3sigma));
+    Json j = key_head("corner", fingerprint);
+    set_case(j, {option, word_lines, ol_3sigma});
     return util::fnv1a(j.dump());
 }
 
@@ -797,10 +669,7 @@ std::uint64_t nominal_key(std::uint64_t fingerprint, std::string_view kind,
                           int word_lines, sram::Sim_accuracy accuracy,
                           spice::Solver_policy solver)
 {
-    Json j;
-    j.set("kind", kind);
-    j.set("version", serialization_version);
-    j.set("fingerprint", util::hex16(fingerprint));
+    Json j = key_head(kind, fingerprint);
     j.set("word_lines", word_lines);
     j.set("accuracy", sram::to_string(accuracy));
     j.set("solver", sram::to_string(solver));
@@ -812,15 +681,9 @@ std::uint64_t surface_key(std::uint64_t fingerprint, Metric metric,
                           double ol_3sigma, sram::Sim_accuracy accuracy,
                           spice::Solver_policy solver)
 {
-    Json j;
-    j.set("kind", "surface");
-    j.set("version", serialization_version);
-    j.set("fingerprint", util::hex16(fingerprint));
+    Json j = key_head("surface", fingerprint);
     j.set("metric", to_string(metric));
-    j.set("option", tech::to_string(option));
-    j.set("word_lines", word_lines);
-    j.set("ol_3sigma",
-          json_of_double(ol_3sigma < 0.0 ? -1.0 : ol_3sigma));
+    set_case(j, {option, word_lines, ol_3sigma});
     j.set("accuracy", sram::to_string(accuracy));
     j.set("solver", sram::to_string(solver));
     return util::fnv1a(j.dump());

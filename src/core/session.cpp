@@ -852,24 +852,24 @@ struct Metric_evaluators {
 
 const Metric_descriptor& metric_descriptor(Metric metric)
 {
-    // Index == static_cast<int>(Metric).  worst_case_rc and the MC
-    // metrics run their cases serially (parallelism lives inside each
-    // case); everything else fans cases out on the query runner.
-    static const std::array<Metric_descriptor, 9> registry{{
-        {"worst_case_rc", true, &Metric_evaluators::worst_case_rc},
-        {"read_td", false, &Metric_evaluators::read_td},
-        {"nominal_td", false, &Metric_evaluators::nominal_td},
-        {"worst_case_tdp", false, &Metric_evaluators::worst_case_tdp},
-        {"mc_tdp", true, &Metric_evaluators::mc_tdp},
-        {"write_tw", false, &Metric_evaluators::write_tw},
-        {"nominal_tw", false, &Metric_evaluators::nominal_tw},
-        {"mc_twp", true, &Metric_evaluators::mc_twp},
-        {"disturb", false, &Metric_evaluators::disturb},
-    }};
+    // Index == static_cast<int>(Metric), one row per metric_tokens entry.
+    // worst_case_rc and the MC metrics run their cases serially
+    // (parallelism lives inside each case); everything else fans cases
+    // out on the query runner.
+    static const std::array<Metric_descriptor, metric_tokens.size()>
+        registry{{
+            {true, &Metric_evaluators::worst_case_rc},
+            {false, &Metric_evaluators::read_td},
+            {false, &Metric_evaluators::nominal_td},
+            {false, &Metric_evaluators::worst_case_tdp},
+            {true, &Metric_evaluators::mc_tdp},
+            {false, &Metric_evaluators::write_tw},
+            {false, &Metric_evaluators::nominal_tw},
+            {true, &Metric_evaluators::mc_twp},
+            {false, &Metric_evaluators::disturb},
+        }};
     const auto index = static_cast<std::size_t>(metric);
     util::expects(index < registry.size(), "unknown metric");
-    util::expects(registry[index].name == to_string(metric),
-                  "metric registry out of sync with the Metric enum");
     return registry[index];
 }
 

@@ -358,7 +358,6 @@ private:
 /// between metrics.  The evaluator computes one case's row on the
 /// worker's scratch contexts; it must not depend on worker assignment.
 struct Metric_descriptor {
-    std::string_view name;
     /// Case loop runs in plan order on one thread; the metric
     /// parallelizes inside each case instead (MC sample loops, corner
     /// enumerations).  Keeps every case's result independent of the

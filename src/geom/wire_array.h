@@ -12,15 +12,28 @@
 #include <string>
 #include <vector>
 
+#include "util/token_table.h"
+
 namespace mpsram::geom {
 
 /// Mask color for multi-patterning decomposition.  `unassigned` is the
 /// state before decomposition; single-patterning flows use `mask_a` only.
 enum class Mask_color { unassigned, mask_a, mask_b, mask_c };
 
+inline constexpr auto mask_color_tokens = util::token_table<Mask_color>(
+    "mask color", {{Mask_color::unassigned, "unassigned"},
+                   {Mask_color::mask_a, "mask_a"},
+                   {Mask_color::mask_b, "mask_b"},
+                   {Mask_color::mask_c, "mask_c"}});
+
 /// SADP line class: printed mandrel line, or line formed in the gap
 /// between the spacers of two adjacent mandrels.
 enum class Sadp_class { none, mandrel, gap };
+
+inline constexpr auto sadp_class_tokens = util::token_table<Sadp_class>(
+    "sadp class", {{Sadp_class::none, "none"},
+                   {Sadp_class::mandrel, "mandrel"},
+                   {Sadp_class::gap, "gap"}});
 
 /// One wire (full-length routing track segment) on a layer.
 struct Wire {

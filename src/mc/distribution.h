@@ -14,6 +14,7 @@
 #include "geom/wire_array.h"
 #include "pattern/engine.h"
 #include "util/stats.h"
+#include "util/token_table.h"
 
 namespace mpsram::mc {
 
@@ -22,6 +23,10 @@ enum class Sampling {
     pseudo_random,    ///< independent Gaussian draws per sample
     latin_hypercube,  ///< per-axis stratified quantiles, permuted
 };
+
+inline constexpr auto sampling_tokens = util::token_table<Sampling>(
+    "sampling scheme", {{Sampling::pseudo_random, "pseudo_random"},
+                        {Sampling::latin_hypercube, "latin_hypercube"}});
 
 struct Distribution_options {
     int samples = 10000;

@@ -10,6 +10,8 @@
 #ifndef MPSRAM_SPICE_DEVICE_H
 #define MPSRAM_SPICE_DEVICE_H
 
+#include "util/token_table.h"
+
 namespace mpsram::spice {
 
 /// Node handle: index into the circuit's node table; 0 is ground.
@@ -17,6 +19,12 @@ using Node = int;
 inline constexpr Node ground_node = 0;
 
 enum class Integration_method { backward_euler, trapezoidal };
+
+inline constexpr auto integration_method_tokens =
+    util::token_table<Integration_method>(
+        "integration method",
+        {{Integration_method::backward_euler, "backward_euler"},
+         {Integration_method::trapezoidal, "trapezoidal"}});
 
 enum class Analysis_mode { dc, transient };
 

@@ -28,6 +28,7 @@
 #include <string_view>
 
 #include "spice/analysis.h"
+#include "util/token_table.h"
 
 namespace mpsram::sram {
 
@@ -35,6 +36,15 @@ enum class Sim_accuracy {
     reference,  ///< fixed-step oracle
     fast,       ///< calibrated adaptive-LTE stepping (default)
 };
+
+inline constexpr auto sim_accuracy_tokens = util::token_table<Sim_accuracy>(
+    "sim accuracy", {{Sim_accuracy::reference, "reference"},
+                     {Sim_accuracy::fast, "fast"}});
+
+inline std::string_view to_string(Sim_accuracy accuracy)
+{
+    return sim_accuracy_tokens.name(accuracy);
+}
 
 /// Calibrated adaptive tolerances of the fast policy (methodology above).
 inline constexpr double fast_lte_rel = 1e-3;
@@ -58,8 +68,6 @@ Sim_accuracy default_sim_accuracy();
 /// `fast` enables adaptive LTE control with the calibrated tolerances.
 void apply_sim_accuracy(spice::Transient_options& topts,
                         Sim_accuracy accuracy);
-
-const char* to_string(Sim_accuracy accuracy);
 
 } // namespace mpsram::sram
 

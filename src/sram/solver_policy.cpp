@@ -1,7 +1,6 @@
 #include "sram/solver_policy.h"
 
 #include <cstdlib>
-#include <string>
 
 #include "util/contracts.h"
 
@@ -9,15 +8,11 @@ namespace mpsram::sram {
 
 spice::Solver_policy parse_solver_policy(std::string_view text)
 {
-    for (const auto policy : solver_policies) {
-        if (text == to_string(policy)) return policy;
-    }
     // Same loud-failure rule as MPSRAM_SIM_ACCURACY: a typo'd pin must
     // not silently run the wrong solver, and the message must show what
     // was seen and what would have worked.
-    throw util::Precondition_error("invalid MPSRAM_SOLVER_POLICY value '" +
-                                   std::string(text) + "' (accepted: " +
-                                   solver_policy_tokens() + ")");
+    return solver_policy_tokens.parse_or_throw(
+        text, "invalid MPSRAM_SOLVER_POLICY value");
 }
 
 spice::Solver_policy default_solver_policy()
@@ -49,25 +44,6 @@ void apply_solver_policy(spice::Transient_options& topts,
                          spice::Solver_policy policy)
 {
     topts.newton.solver = policy;
-}
-
-const char* to_string(spice::Solver_policy policy)
-{
-    switch (policy) {
-    case spice::Solver_policy::direct: return "direct";
-    case spice::Solver_policy::bypass: return "bypass";
-    }
-    return "unknown";
-}
-
-std::string solver_policy_tokens()
-{
-    std::string tokens;
-    for (const auto policy : solver_policies) {
-        if (!tokens.empty()) tokens += ", ";
-        tokens += "'" + std::string(to_string(policy)) + "'";
-    }
-    return tokens;
 }
 
 } // namespace mpsram::sram

@@ -23,18 +23,30 @@
 #ifndef MPSRAM_SRAM_SOLVER_POLICY_H
 #define MPSRAM_SRAM_SOLVER_POLICY_H
 
-#include <array>
 #include <optional>
-#include <string>
 #include <string_view>
 
 #include "spice/analysis.h"
 #include "sram/sim_accuracy.h"
+#include "util/token_table.h"
 
 namespace mpsram::sram {
 
-/// Parse a solver-tier token (to_string of one of solver_policies).  Any
-/// other value throws util::Precondition_error naming the offending value
+/// Every solver tier, the direct oracle first: the one place the tier set
+/// is named.  parse_solver_policy, the query decoder and the shard CLI all
+/// read it, and its accepted() text is what their errors list.
+inline constexpr auto solver_policy_tokens =
+    util::token_table<spice::Solver_policy>(
+        "solver policy", {{spice::Solver_policy::direct, "direct"},
+                          {spice::Solver_policy::bypass, "bypass"}});
+
+inline std::string_view to_string(spice::Solver_policy policy)
+{
+    return solver_policy_tokens.name(policy);
+}
+
+/// Parse a solver-tier token (one of solver_policy_tokens).  Any other
+/// value throws util::Precondition_error naming the offending value
 /// and the accepted set.  Exposed separately from default_solver_policy()
 /// so the rejection path is unit-testable (the default is memoized per
 /// process).
@@ -56,17 +68,6 @@ spice::Solver_policy resolve_solver_policy(
 /// DC operating point keeps its own options and stays direct).
 void apply_solver_policy(spice::Transient_options& topts,
                          spice::Solver_policy policy);
-
-/// Every solver tier, the direct oracle first.  The token parsers
-/// (parse_solver_policy, core's query decoder) iterate this list through
-/// to_string, so it is the one place the tier set is named.
-inline constexpr std::array solver_policies = {spice::Solver_policy::direct,
-                                               spice::Solver_policy::bypass};
-
-const char* to_string(spice::Solver_policy policy);
-
-/// The accepted tokens for error messages: "'direct', 'bypass'".
-std::string solver_policy_tokens();
 
 } // namespace mpsram::sram
 

@@ -4,8 +4,9 @@
 #ifndef MPSRAM_TECH_PATTERNING_OPTION_H
 #define MPSRAM_TECH_PATTERNING_OPTION_H
 
-#include <array>
 #include <string_view>
+
+#include "util/token_table.h"
 
 namespace mpsram::tech {
 
@@ -15,12 +16,18 @@ enum class Patterning_option {
     euv,   ///< single-patterning extreme-UV
 };
 
-/// All options, in the order the paper tabulates them.
-inline constexpr std::array<Patterning_option, 3> all_patterning_options = {
-    Patterning_option::le3, Patterning_option::sadp, Patterning_option::euv};
+/// Paper-style labels; `values` lists the options in the order the paper
+/// tabulates them.
+inline constexpr auto patterning_option_tokens =
+    util::token_table<Patterning_option>(
+        "patterning option", {{Patterning_option::le3, "LELELE"},
+                              {Patterning_option::sadp, "SADP"},
+                              {Patterning_option::euv, "EUV"}});
 
-/// Paper-style label ("LELELE", "SADP", "EUV").
-std::string_view to_string(Patterning_option option);
+inline std::string_view to_string(Patterning_option option)
+{
+    return patterning_option_tokens.name(option);
+}
 
 } // namespace mpsram::tech
 

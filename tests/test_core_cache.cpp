@@ -75,6 +75,181 @@ TEST(CoreCache, QueryJsonRoundTripsEveryField)
     EXPECT_THROW(core::query_of_json(retired), util::Precondition_error);
 }
 
+/// The text of the Precondition_error `decode` throws, or "" if none.
+template <class Decode>
+std::string precondition_text(Decode decode)
+{
+    try {
+        decode();
+    } catch (const util::Precondition_error& e) {
+        return e.what();
+    }
+    return "";
+}
+
+TEST(CoreCache, QueryDecoderRejectsIntsThatAreNotInts)
+{
+    const std::string good =
+        core::json_of_query(core::Query(core::Metric::read_td)
+                                .with_case({tech::Patterning_option::le3,
+                                            16, -1.0}))
+            .dump();
+    // Out of the int range, a cast used to land on INT_MIN, which keys
+    // as the session-default column; a fraction used to truncate.
+    const struct {
+        std::string from, to, named;
+    } bad[] = {
+        {"\"word_lines\":16", "\"word_lines\":1e300", "1e+300"},
+        {"\"word_lines\":16", "\"word_lines\":-1e300", "-1e+300"},
+        {"\"word_lines\":16", "\"word_lines\":3e9", "3e+09"},
+        {"\"word_lines\":16", "\"word_lines\":16.9", "16.9"},
+        {"\"samples\":10000", "\"samples\":1e10", "1e+10"},
+    };
+    for (const auto& b : bad) {
+        std::string text = good;
+        ASSERT_NE(text.find(b.from), std::string::npos) << text;
+        text.replace(text.find(b.from), b.from.size(), b.to);
+        const util::Json j = util::Json::parse(text);
+        const std::string what =
+            precondition_text([&] { core::query_of_json(j); });
+        EXPECT_NE(what.find(b.named), std::string::npos) << b.to << ": "
+                                                         << what;
+    }
+    // In-range integral values, negative ones included, still decode.
+    std::string text = good;
+    text.replace(text.find("\"word_lines\":16"), 15, "\"word_lines\":-3");
+    EXPECT_EQ(core::query_of_json(util::Json::parse(text)).cases[0].word_lines,
+              -3);
+}
+
+template <class E, std::size_t N>
+std::vector<std::string_view> tokens_of(const util::Token_table<E, N>& t)
+{
+    return {t.tokens.begin(), t.tokens.end()};
+}
+
+util::Json& member(util::Json& j, std::string_view key)
+{
+    for (auto& [name, value] : j.as_object()) {
+        if (name == key) return value;
+    }
+    throw std::out_of_range(std::string(key));
+}
+
+util::Json& element(util::Json& j, std::string_view key, std::size_t i)
+{
+    return member(j, key).as_array().at(i);
+}
+
+TEST(CoreCache, DecoderErrorsNameTheTokenAndTheAcceptedSet)
+{
+    const auto sadp = tech::Patterning_option::sadp;
+    const util::Json query = core::json_of_query(
+        core::Query(core::Metric::mc_tdp)
+            .with_case({sadp, 16, -1.0})
+            .with_accuracy(sram::Sim_accuracy::fast)
+            .with_solver(spice::Solver_policy::bypass));
+    const util::Json table = core::json_of_result_table(core::Result_table(
+        core::Metric::worst_case_rc, {{sadp, 16, -1.0}},
+        {core::Worst_case_row{sadp, "corner", 1.0, 2.0, 3.0}}));
+    mc::Worst_case_result wc;
+    wc.realized = geom::Wire_array({{"BL0", 0.0, 2e-8, 1e-6,
+                                     geom::Mask_color::mask_b,
+                                     geom::Sadp_class::gap}});
+    const util::Json worst_case = core::json_of_worst_case(wc);
+
+    const auto decode_query = [](const util::Json& j) {
+        core::query_of_json(j);
+    };
+    const auto decode_table = [](const util::Json& j) {
+        core::result_table_of_json(j);
+    };
+    const auto decode_worst_case = [](const util::Json& j) {
+        core::worst_case_of_json(j);
+    };
+    const std::string bad = "misspelt";
+    const struct {
+        const char* field;
+        const util::Json& document;
+        void (*decode)(const util::Json&);
+        void (*misspell)(util::Json&, const std::string&);
+        std::vector<std::string_view> accepted;
+    } cases[] = {
+        {"query metric", query, decode_query,
+         [](util::Json& j, const std::string& t) { j.set("metric", t); },
+         tokens_of(core::metric_tokens)},
+        {"query case option", query, decode_query,
+         [](util::Json& j, const std::string& t) {
+             element(j, "cases", 0).set("option", t);
+         },
+         tokens_of(tech::patterning_option_tokens)},
+        {"query accuracy", query, decode_query,
+         [](util::Json& j, const std::string& t) { j.set("accuracy", t); },
+         tokens_of(sram::sim_accuracy_tokens)},
+        {"query solver", query, decode_query,
+         [](util::Json& j, const std::string& t) { j.set("solver", t); },
+         tokens_of(sram::solver_policy_tokens)},
+        {"query sampling", query, decode_query,
+         [](util::Json& j, const std::string& t) {
+             member(j, "mc").set("sampling", t);
+         },
+         tokens_of(mc::sampling_tokens)},
+        {"query tdp engine", query, decode_query,
+         [](util::Json& j, const std::string& t) {
+             j.set("tdp_engine", t);
+         },
+         tokens_of(core::tdp_engine_tokens)},
+        {"query twp engine", query, decode_query,
+         [](util::Json& j, const std::string& t) {
+             j.set("twp_engine", t);
+         },
+         tokens_of(core::twp_engine_tokens)},
+        {"table metric", table, decode_table,
+         [](util::Json& j, const std::string& t) { j.set("metric", t); },
+         tokens_of(core::metric_tokens)},
+        {"table case option", table, decode_table,
+         [](util::Json& j, const std::string& t) {
+             element(j, "cases", 0).set("option", t);
+         },
+         tokens_of(tech::patterning_option_tokens)},
+        {"table row type", table, decode_table,
+         [](util::Json& j, const std::string& t) {
+             element(j, "rows", 0).set("type", t);
+         },
+         {"worst_case", "read", "nominal_td", "worst_case_tdp", "write",
+          "nominal_tw", "disturb", "distribution"}},
+        {"table row option", table, decode_table,
+         [](util::Json& j, const std::string& t) {
+             element(j, "rows", 0).set("option", t);
+         },
+         tokens_of(tech::patterning_option_tokens)},
+        {"wire color", worst_case, decode_worst_case,
+         [](util::Json& j, const std::string& t) {
+             element(j, "realized", 0).set("color", t);
+         },
+         tokens_of(geom::mask_color_tokens)},
+        {"wire sadp class", worst_case, decode_worst_case,
+         [](util::Json& j, const std::string& t) {
+             element(j, "realized", 0).set("sadp", t);
+         },
+         tokens_of(geom::sadp_class_tokens)},
+    };
+    for (const auto& c : cases) {
+        util::Json j = c.document;
+        c.misspell(j, bad);
+        const std::string what = precondition_text([&] { c.decode(j); });
+        EXPECT_NE(what.find("'" + bad + "'"), std::string::npos)
+            << c.field << ": " << what;
+        for (const std::string_view token : c.accepted) {
+            EXPECT_NE(what.find("'" + std::string(token) + "'"),
+                      std::string::npos)
+                << c.field << ": " << what;
+        }
+        // Unmodified, the same document decodes.
+        EXPECT_EQ(precondition_text([&] { c.decode(c.document); }), "");
+    }
+}
+
 TEST(CoreCache, QueryKeyIgnoresExecutionPolicy)
 {
     const core::Study_session session;

@@ -47,7 +47,7 @@ TEST(QueryThreads, WorstCaseRcIdenticalAtAnyThreadCount)
 {
     expect_thread_invariant([](int threads) {
         return Query(Metric::worst_case_rc)
-            .over_options(tech::all_patterning_options)
+            .over_options(tech::patterning_option_tokens.values)
             .on(core::Runner_options{threads});
     });
 }
@@ -106,7 +106,7 @@ TEST(QueryTwpFormula, DeterministicCheapAndOrdered)
         threaded.runner.threads = threads;
         const auto table = session.run(
             Query(Metric::mc_twp)
-                .over_options(tech::all_patterning_options, 16)
+                .over_options(tech::patterning_option_tokens.values, 16)
                 .with_mc(threaded)
                 .with_twp_engine(core::Twp_engine::formula));
         if (threads == 1) {
@@ -255,13 +255,8 @@ TEST(ResultTable, EmptyQueryYieldsEmptyTable)
 
 TEST(MetricRegistry, DescriptorsMatchTheEnum)
 {
-    for (const Metric m :
-         {Metric::worst_case_rc, Metric::read_td, Metric::nominal_td,
-          Metric::worst_case_tdp, Metric::mc_tdp, Metric::write_tw,
-          Metric::nominal_tw, Metric::mc_twp, Metric::disturb}) {
-        const core::Metric_descriptor& d = core::metric_descriptor(m);
-        EXPECT_EQ(d.name, core::to_string(m));
-        EXPECT_NE(d.eval, nullptr);
+    for (const Metric m : core::metric_tokens.values) {
+        EXPECT_NE(core::metric_descriptor(m).eval, nullptr);
     }
     // The per-case-parallel metrics vs the internally-parallel ones.
     EXPECT_FALSE(core::metric_descriptor(Metric::read_td).serial_cases);

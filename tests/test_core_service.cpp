@@ -113,6 +113,29 @@ TEST(CoreService, MalformedRequestsGetStructuredErrors)
     EXPECT_FALSE(service.shutdown_requested());
 }
 
+TEST(CoreService, NonIntWordLinesAreMalformedNotTheDefaultColumn)
+{
+    const core::Study_session session(tech::n10(), uncached());
+    core::Query_service service(session, {});
+
+    // 3e9 rows used to decode to INT_MIN, which resolves to the session's
+    // default word lines: the daemon answered a query nobody sent.
+    for (const std::string value : {"3e9", "-1e300", "8.5"}) {
+        std::string line = query_line(small_query(), 1);
+        const std::string from = "\"word_lines\":8";
+        ASSERT_NE(line.find(from), std::string::npos) << line;
+        line.replace(line.find(from), from.size(),
+                     "\"word_lines\":" + value);
+        const util::Json response =
+            util::Json::parse(service.handle_line(line));
+        EXPECT_FALSE(response.at("ok").as_bool()) << value;
+        EXPECT_EQ(response.at("error").at("code").as_string(), "malformed")
+            << value;
+    }
+    EXPECT_EQ(service.stats().errors, 3u);
+    EXPECT_EQ(session.query_run_count(), 0u);
+}
+
 TEST(CoreService, ErrorEnvelopeEchoesTheRequestId)
 {
     const core::Study_session session(tech::n10(), uncached());

@@ -209,7 +209,7 @@ TEST(SimAccuracy, AdaptiveMatchesReferenceAcrossFig4Sweep)
     // fails outside the budget.)
     constexpr int fig4_sizes[] = {16, 64, 256};
 
-    for (const auto option : tech::all_patterning_options) {
+    for (const auto option : tech::patterning_option_tokens.values) {
         const core::Study_session reference(
             tech::n10(), opts_with(sram::Sim_accuracy::reference));
         const core::Study_session fast(
@@ -420,7 +420,7 @@ TEST(RealizeInto, BitwiseMatchesRealizeForEveryEngine)
     cfg.word_lines = 16;
     cfg.victim_pair = 6;
 
-    for (const auto option : tech::all_patterning_options) {
+    for (const auto option : tech::patterning_option_tokens.values) {
         const auto engine = pattern::make_engine(option, t);
         const geom::Wire_array nominal =
             engine->decompose(sram::build_metal1_array(t, cfg));

@@ -289,7 +289,7 @@ struct Mc_fixture {
 
 TEST(MetricFunctor, GeneralizedWorstCaseMatchesCblDefault)
 {
-    for (const auto option : tech::all_patterning_options) {
+    for (const auto option : tech::patterning_option_tokens.values) {
         Mc_fixture f(option);
         const auto legacy =
             mc::find_worst_case(*f.engine, f.ex, f.nominal, f.victims.bl,
@@ -378,7 +378,7 @@ TEST(WriteAccuracy, AdaptiveMatchesReferenceAcrossWriteSweep)
     // of the fixed-step reference on every write sweep row for every
     // patterning option.  (bench_ext_write_impact enforces the same gate
     // on the full n up to 256 sweep on every run.)
-    for (const auto option : tech::all_patterning_options) {
+    for (const auto option : tech::patterning_option_tokens.values) {
         const core::Study_session reference(
             tech::n10(), opts_with(sram::Sim_accuracy::reference));
         const core::Study_session fast(

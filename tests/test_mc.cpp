@@ -40,7 +40,7 @@ TEST(WorstCase, CornerBeatsRandomSamples)
 {
     // Property: the enumerated worst corner's Cbl is an upper bound for
     // random in-spec samples (3-sigma truncated).
-    for (const auto option : tech::all_patterning_options) {
+    for (const auto option : tech::patterning_option_tokens.values) {
         Fixture f(option);
         const auto wc = mc::find_worst_case(*f.engine, f.ex, f.nominal,
                                             f.victims.bl, f.victims.vss);

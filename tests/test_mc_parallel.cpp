@@ -68,7 +68,7 @@ void expect_bitwise_equal(const mc::Tdp_distribution& a,
 
 TEST(ParallelMc, PseudoRandomIdenticalAtAnyThreadCount)
 {
-    for (const auto option : tech::all_patterning_options) {
+    for (const auto option : tech::patterning_option_tokens.values) {
         Fixture f(option);
         const auto serial = f.run(1, mc::Sampling::pseudo_random);
         for (const int threads : {2, 3, 4, 0}) {
@@ -102,7 +102,7 @@ TEST(ParallelMc, SubstreamsPreserveStatistics)
 
 TEST(ParallelWorstCase, IdenticalAtAnyThreadCount)
 {
-    for (const auto option : tech::all_patterning_options) {
+    for (const auto option : tech::patterning_option_tokens.values) {
         Fixture f(option);
         const auto serial =
             mc::find_worst_case(*f.engine, f.ex, f.nominal, f.victims.bl,
@@ -153,18 +153,19 @@ TEST(StudyBatch, McTdpBatchMatchesSingleCalls)
 TEST(StudyBatch, WorstCaseAllOptionsMatchesPerOption)
 {
     const core::Study_session session;
+    const auto& options = tech::patterning_option_tokens.values;
     const auto rows = session
                           .run(Query(Metric::worst_case_rc)
-                                   .over_options(tech::all_patterning_options)
+                                   .over_options(options)
                                    .on(core::Runner_options{4}))
                           .column<core::Worst_case_row>();
-    ASSERT_EQ(rows.size(), tech::all_patterning_options.size());
+    ASSERT_EQ(rows.size(), options.size());
 
     for (std::size_t i = 0; i < rows.size(); ++i) {
         const auto single =
             session
                 .run(Query(Metric::worst_case_rc)
-                         .with_case({tech::all_patterning_options[i], 0}))
+                         .with_case({options[i], 0}))
                 .as<core::Worst_case_row>(0);
         EXPECT_EQ(rows[i].option, single.option);
         EXPECT_EQ(rows[i].corner, single.corner);

@@ -139,7 +139,7 @@ TEST(SurrogateDistribution, FormulaAndSurrogateTiersDrawIdenticalSamples)
     // tier's samples are recorded at realize(); the surrogate's are read
     // back one axis at a time through an identity surface
     // value(x) = x[a] (unit scales, so the evaluation is exact).
-    for (const auto option : tech::all_patterning_options) {
+    for (const auto option : tech::patterning_option_tokens.values) {
         Fixture f(option);
         const Recording_engine recorder(*f.engine);
         sram::Array_config cfg;

@@ -112,7 +112,7 @@ TEST(PaperAnchors, FormulaTracksSimulationAtSmallN)
 {
     // Table III: formula vs simulation agree within a few points at
     // small n for every option.
-    for (const auto option : tech::all_patterning_options) {
+    for (const auto option : tech::patterning_option_tokens.values) {
         const auto row = session()
                              .run(Query(Metric::worst_case_tdp)
                                       .with_case({option, 16}))

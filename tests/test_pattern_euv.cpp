@@ -90,7 +90,7 @@ TEST(Euv, ValidatesSampleAndPinchOff)
 TEST(EngineFactory, BuildsEveryOption)
 {
     const tech::Technology t = tech::n10();
-    for (const auto option : tech::all_patterning_options) {
+    for (const auto option : tech::patterning_option_tokens.values) {
         const auto engine = pattern::make_engine(option, t);
         ASSERT_NE(engine, nullptr);
         EXPECT_EQ(engine->option(), option);

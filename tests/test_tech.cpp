@@ -16,7 +16,7 @@ TEST(PatterningOption, NamesMatchPaper)
     EXPECT_EQ(tech::to_string(tech::Patterning_option::le3), "LELELE");
     EXPECT_EQ(tech::to_string(tech::Patterning_option::sadp), "SADP");
     EXPECT_EQ(tech::to_string(tech::Patterning_option::euv), "EUV");
-    EXPECT_EQ(tech::all_patterning_options.size(), 3u);
+    EXPECT_EQ(tech::patterning_option_tokens.values.size(), 3u);
 }
 
 TEST(Materials, CopperSizeEffectRaisesResistivity)

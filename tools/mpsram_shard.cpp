@@ -12,7 +12,10 @@
 //   emit  --metric M --options le3,sadp,euv --word-lines 16,24,32
 //         [--ol V] [--accuracy A] [--solver S] [--samples N] [--seed S]
 //         [--tdp-engine E] [--twp-engine E] [--out FILE]
-//       Compose a query and write its JSON (stdout by default).
+//       Compose a query and write its JSON (stdout by default).  The
+//       token flags take the query's own tokens (the usage text lists
+//       them); --options takes the lowercase le3 / sadp / euv.  A
+//       misspelled token exits 2 naming the accepted set.
 //   run   --query FILE --shard I --count K --out FILE [--threads N]
 //       Run shard I of K and write the part envelope.
 //   merge --query FILE --out FILE [--format json|csv] PART...
@@ -54,17 +57,49 @@
 #include "sram/solver_policy.h"
 #include "util/atomic_file.h"
 #include "util/json.h"
+#include "util/token_table.h"
 
 namespace {
 
 using namespace mpsram;
 
+/// The CLI's own lowercase spelling of the options (the query JSON
+/// carries the paper's labels); never accepted by the query decoder.
+constexpr auto cli_option_tokens =
+    util::token_table<tech::Patterning_option>(
+        "patterning option", {{tech::Patterning_option::le3, "le3"},
+                              {tech::Patterning_option::sadp, "sadp"},
+                              {tech::Patterning_option::euv, "euv"}});
+
 [[noreturn]] void usage(const std::string& message)
 {
     std::cerr << "mpsram_shard: " << message << "\n"
               << "subcommands: emit | run | merge | exec | cache-gc (see "
-                 "the header comment)\n";
+                 "the header comment)\n"
+              << "emit tokens:\n"
+              << "  --metric      " << core::metric_tokens.accepted() << "\n"
+              << "  --options     " << cli_option_tokens.accepted()
+              << " (comma-separated)\n"
+              << "  --accuracy    " << sram::sim_accuracy_tokens.accepted()
+              << "\n"
+              << "  --solver      " << sram::solver_policy_tokens.accepted()
+              << "\n"
+              << "  --tdp-engine  " << core::tdp_engine_tokens.accepted()
+              << "\n"
+              << "  --twp-engine  " << core::twp_engine_tokens.accepted()
+              << "\n";
     std::exit(2);
+}
+
+/// The value of a token flag; a misspelling exits 2 naming the accepted
+/// set.
+template <class E, std::size_t N>
+E flag_token(const std::string& flag, const std::string& text,
+             const util::Token_table<E, N>& tokens)
+{
+    if (const std::optional<E> value = tokens.parse(text)) return *value;
+    usage("unknown --" + flag + " value '" + text + "' (accepted: " +
+          tokens.accepted() + ")");
 }
 
 /// Minimal flag scanner: --name value pairs plus positional leftovers.
@@ -142,27 +177,10 @@ void write_out(const std::optional<std::string>& path,
     if (!out) usage("cannot write '" + *path + "'");
 }
 
-tech::Patterning_option option_of_token(const std::string& token)
-{
-    if (token == "le3") return tech::Patterning_option::le3;
-    if (token == "sadp") return tech::Patterning_option::sadp;
-    if (token == "euv") return tech::Patterning_option::euv;
-    usage("unknown patterning option '" + token +
-          "' (accepted: le3, sadp, euv)");
-}
-
-core::Metric metric_of_token(const std::string& token)
-{
-    for (int i = 0; i < 9; ++i) {
-        const auto m = static_cast<core::Metric>(i);
-        if (core::to_string(m) == token) return m;
-    }
-    usage("unknown metric '" + token + "'");
-}
-
 int cmd_emit(const Args& args)
 {
-    core::Query query(metric_of_token(args.require("metric")));
+    core::Query query(
+        flag_token("metric", args.require("metric"), core::metric_tokens));
 
     std::vector<int> word_lines;
     for (const std::string& n : split_list(args.require("word-lines"))) {
@@ -172,15 +190,17 @@ int cmd_emit(const Args& args)
         args.get("ol") ? std::stod(*args.get("ol")) : -1.0;
     for (const std::string& opt : split_list(args.require("options"))) {
         for (const int n : word_lines) {
-            query.cases.push_back({option_of_token(opt), n, ol});
+            query.cases.push_back(
+                {flag_token("options", opt, cli_option_tokens), n, ol});
         }
     }
 
     if (const auto a = args.get("accuracy")) {
-        query.accuracy = sram::parse_sim_accuracy(*a);
+        query.accuracy =
+            flag_token("accuracy", *a, sram::sim_accuracy_tokens);
     }
     if (const auto s = args.get("solver")) {
-        query.solver = sram::parse_solver_policy(*s);
+        query.solver = flag_token("solver", *s, sram::solver_policy_tokens);
     }
     if (const auto n = args.get("samples")) {
         query.mc.samples = std::stoi(*n);
@@ -189,18 +209,12 @@ int cmd_emit(const Args& args)
         query.mc.seed = std::stoull(*s);
     }
     if (const auto e = args.get("tdp-engine")) {
-        if (*e == "formula") query.tdp_engine = core::Tdp_engine::formula;
-        else if (*e == "spice") query.tdp_engine = core::Tdp_engine::spice;
-        else if (*e == "surrogate")
-            query.tdp_engine = core::Tdp_engine::surrogate;
-        else usage("unknown tdp engine '" + *e + "'");
+        query.tdp_engine =
+            flag_token("tdp-engine", *e, core::tdp_engine_tokens);
     }
     if (const auto e = args.get("twp-engine")) {
-        if (*e == "formula") query.twp_engine = core::Twp_engine::formula;
-        else if (*e == "spice") query.twp_engine = core::Twp_engine::spice;
-        else if (*e == "surrogate")
-            query.twp_engine = core::Twp_engine::surrogate;
-        else usage("unknown twp engine '" + *e + "'");
+        query.twp_engine =
+            flag_token("twp-engine", *e, core::twp_engine_tokens);
     }
 
     write_out(args.get("out"), core::json_of_query(query).dump());
