@@ -52,14 +52,12 @@ int main(int argc, char** argv)
     std::cout << "Table III: formula versus simulation tdp values (%) using\n"
                  "the worst case variability\n\n";
 
-    std::vector<std::string> header = {"Method", "Array size"};
-    for (const std::string_view label : tech::patterning_option_tokens.tokens) {
-        header.emplace_back(label);
-    }
-    for (const std::string_view label : tech::patterning_option_tokens.tokens) {
-        header.push_back("paper " + std::string(label));
-    }
-    util::Table table(header);
+    const auto label = [](int oi) {
+        return std::string(tech::patterning_option_tokens.tokens[oi]);
+    };
+    util::Table table({"Method", "Array size", label(0), label(1), label(2),
+                       "paper " + label(0), "paper " + label(1),
+                       "paper " + label(2)});
 
     // Every (option, size) cell on one query; the memoized corner search
     // means each option's worst case is enumerated exactly once.

@@ -40,6 +40,26 @@
 //     at any thread count — that determinism contract is exactly what
 //     makes results cacheable), and the cache mode/directory (a cached
 //     and an uncached run must agree on the key of everything else).
+//
+// Where the spellings live:
+//
+//   * Enum tokens: one util::Token_table per enum, declared next to the
+//     enum (core::metric_tokens in query.h, tech::patterning_option_tokens,
+//     sram::sim_accuracy_tokens, geom::mask_color_tokens, ...).  Encoders,
+//     decoders, environment parsers and the shard CLI all read it, and
+//     every decode error lists its accepted set.
+//   * Record keys: serialize.cpp keeps one field list per round-tripped
+//     record (query, case, MC spec, sample summary, the row types, the
+//     worst-case result and its wires, the surrogate surfaces), and the
+//     encoder and the decoder walk the same list.
+//   * Fingerprint fields: json_of_technology / json_of_study_options stay
+//     hand-kept lists.  Only the encoder reads them, so there is no second
+//     copy to merge; what they need is a completeness check (a changed
+//     field that does not move the fingerprint), which is still open.
+//
+// tests/test_golden_results.cpp (GoldenKeys) pins the fingerprint, the
+// keys and the dumps: a change that moves one of them orphans the stored
+// entries and must bump serialization_version.
 #ifndef MPSRAM_CORE_SERIALIZE_H
 #define MPSRAM_CORE_SERIALIZE_H
 
