@@ -563,15 +563,14 @@ void set_case(Json& j, Query_case c)
     fields(c, Encoder{j});
 }
 
-/// The members every key starts with: what is keyed, the encoding
-/// version and, for all but the fingerprint itself, the configuration.
-Json key_head(std::string_view kind,
-              std::optional<std::uint64_t> fingerprint)
+/// The members every result key starts with: what is keyed, the
+/// encoding version and the configuration fingerprint.
+Json key_head(std::string_view kind, std::uint64_t fingerprint)
 {
     Json j;
     j.set("kind", kind);
     j.set("version", serialization_version);
-    if (fingerprint) j.set("fingerprint", util::hex16(*fingerprint));
+    j.set("fingerprint", util::hex16(fingerprint));
     return j;
 }
 
@@ -580,7 +579,9 @@ Json key_head(std::string_view kind,
 std::uint64_t config_fingerprint(const tech::Technology& tech,
                                  const Study_options& opts)
 {
-    Json j = key_head("config", std::nullopt);
+    Json j;
+    j.set("kind", "config");
+    j.set("version", serialization_version);
     j.set("technology", json_of_technology(tech));
     j.set("options", json_of_study_options(opts));
     return util::fnv1a(j.dump());
