@@ -1,5 +1,6 @@
 #include "util/rng.h"
 
+#include <algorithm>
 #include <functional>
 
 #include "util/contracts.h"
@@ -17,6 +18,15 @@ std::uint64_t mix64(std::uint64_t z)
     return z ^ (z >> 31);
 }
 
+/// Seed of substream `index` of the experiment whose root seed mixes to
+/// `mixed_root` (= mix64(seed)).  Two rounds of the finalizer decorrelate
+/// consecutive indices; the constant offsets index 0 away from the plain
+/// `Rng(seed)` stream.
+std::uint64_t substream_seed(std::uint64_t mixed_root, std::uint64_t index)
+{
+    return mix64(mixed_root ^ mix64(index + 0x6a09e667f3bcc909ULL));
+}
+
 } // namespace
 
 Rng Rng::child(std::string_view name) const
@@ -27,9 +37,34 @@ Rng Rng::child(std::string_view name) const
 
 Rng Rng::stream(std::uint64_t seed, std::uint64_t index)
 {
-    // Two rounds of the finalizer decorrelate consecutive indices; the
-    // constant offsets index 0 away from the plain `Rng(seed)` stream.
-    return Rng(mix64(mix64(seed) ^ mix64(index + 0x6a09e667f3bcc909ULL)));
+    return Rng(substream_seed(mix64(seed), index));
+}
+
+void Rng::streams(std::uint64_t seed, std::uint64_t first, std::span<Rng> out)
+{
+    const std::uint64_t mixed_root = mix64(seed);
+    constexpr std::size_t chain = 156 + prebuilt_draws;
+    for (std::size_t j = 0; j < out.size(); j += stream_lanes) {
+        const std::size_t lanes = std::min(stream_lanes, out.size() - j);
+        Lazy_mt19937_64* engines[stream_lanes];
+        std::uint64_t seeds[stream_lanes];
+        for (std::size_t l = 0; l < lanes; ++l) {
+            Rng& rng = out[j + l];
+            rng.seed_ = substream_seed(mixed_root, first + j + l);
+            rng.std_normal_.reset();
+            engines[l] = &rng.engine_;
+            seeds[l] = rng.seed_;
+        }
+        if (lanes == stream_lanes) {
+            Lazy_mt19937_64::seed_lockstep<stream_lanes>(engines, seeds,
+                                                         chain);
+        } else {
+            for (std::size_t l = 0; l < lanes; ++l) {
+                Lazy_mt19937_64::seed_lockstep<1>(&engines[l], &seeds[l],
+                                                  chain);
+            }
+        }
+    }
 }
 
 double Rng::normal()

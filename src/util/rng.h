@@ -18,6 +18,17 @@
 // k single-word twists; drawing output 156 finishes the chain and the
 // second half of the first twist; later blocks regenerate whole, as std
 // does.
+//
+// Lockstep seeding.  The seed chain is serial: word k is a 64-bit
+// multiply of word k - 1, so one chain runs at the multiply's latency
+// (~6 cycles a word), not its throughput.  Rng::streams opens
+// Rng::stream_lanes consecutive substreams at once and builds their
+// independent chains interleaved in one loop, so the latency is paid once
+// per group instead of once per stream (measured: one stream's chain
+// 330-390 ns alone, 110-135 ns at 4 lanes).  Each chain is pre-built to
+// 156 + Rng::prebuilt_draws words, the chain a stream needs for its first
+// prebuilt_draws outputs; a stream that draws more extends it lazily,
+// exactly as a stream opened alone does.
 // Constructing an Rng only to read seed() (Rng(seed).child(name).seed())
 // touches one state word.
 //
@@ -33,6 +44,7 @@
 #include <cstddef>
 #include <cstdint>
 #include <random>
+#include <span>
 #include <string_view>
 
 namespace mpsram::util {
@@ -65,6 +77,31 @@ public:
         return *this;
     }
 
+    /// Reseed engines[l] to seeds[l] for each of the Lanes lanes and
+    /// build every seed chain to `words` words (1 <= words <= 312) in one
+    /// interleaved loop: the lanes' chains are independent, so their
+    /// multiplies overlap (file comment).  Each engine then continues
+    /// exactly as Lazy_mt19937_64(seeds[l]) would.
+    template <std::size_t Lanes>
+    static void seed_lockstep(Lazy_mt19937_64* const* engines,
+                              const result_type* seeds, std::size_t words)
+    {
+        result_type prev[Lanes];
+        for (std::size_t l = 0; l < Lanes; ++l) {
+            prev[l] = seeds[l];
+            engines[l]->x_[0] = seeds[l];
+            engines[l]->pos_ = 0;
+            engines[l]->ready_ = 0;
+            engines[l]->chain_ = words;
+        }
+        for (std::size_t k = 1; k < words; ++k) {
+            for (std::size_t l = 0; l < Lanes; ++l) {
+                prev[l] = chain_word(prev[l], k);
+                engines[l]->x_[k] = prev[l];
+            }
+        }
+    }
+
     static constexpr result_type min() { return 0; }
     static constexpr result_type max() { return ~result_type{0}; }
 
@@ -94,13 +131,18 @@ private:
         return far ^ (y >> 1) ^ ((y & 1) ? 0xb5026f5aa96619e9ULL : 0);
     }
 
+    /// Seed-chain word k from word k - 1.
+    static result_type chain_word(result_type prev, std::size_t k)
+    {
+        return 6364136223846793005ULL * (prev ^ (prev >> 62)) +
+               static_cast<result_type>(k);
+    }
+
     /// Seed-chain words [chain_, end) from the word before them.
     void extend_chain(std::size_t end)
     {
         for (; chain_ < end; ++chain_) {
-            const result_type prev = x_[chain_ - 1];
-            x_[chain_] = 6364136223846793005ULL * (prev ^ (prev >> 62)) +
-                         static_cast<result_type>(chain_);
+            x_[chain_] = chain_word(x_[chain_ - 1], chain_);
         }
     }
 
@@ -153,6 +195,19 @@ public:
     /// sample i the stream `Rng::stream(seed, i)` produces bitwise
     /// identical results at any thread count and in any execution order.
     static Rng stream(std::uint64_t seed, std::uint64_t index);
+
+    /// Substreams opened per lockstep seeding group (file comment).
+    static constexpr std::size_t stream_lanes = 4;
+    /// Engine outputs each stream opened by streams() can draw before its
+    /// seed chain extends lazily: an LE3 sample's five truncated normals
+    /// take ~6-8.
+    static constexpr std::size_t prebuilt_draws = 16;
+
+    /// Set out[j] to exactly Rng::stream(seed, first + j) for every j —
+    /// same draws, no saved normal — seeding stream_lanes streams at a
+    /// time in lockstep (file comment).  Reuses the streams' storage.
+    static void streams(std::uint64_t seed, std::uint64_t first,
+                        std::span<Rng> out);
 
     /// Standard normal draw (mean 0, sigma 1).
     double normal();

@@ -194,6 +194,87 @@ TEST(RngStream, SeedsSeparateSubstreamFamilies)
     EXPECT_EQ(same, 0);
 }
 
+// --- lockstep substreams: Rng::streams equals Rng::stream --------------------
+
+/// One draw of the given kind, bit pattern (indices as they are).
+std::uint64_t draw(Rng& rng, int kind)
+{
+    switch (kind) {
+    case 0: return bits(rng.normal());
+    case 1: return bits(rng.truncated_normal(0.5, 2.0, 1.5));
+    case 2: return bits(rng.uniform(-1.0, 3.0));
+    default: return rng.index(1000003);
+    }
+}
+
+constexpr std::uint64_t block_seed = 20150609;
+constexpr std::uint64_t block_first = 999983;
+
+TEST(RngStreams, EveryStreamEqualsItsPerIndexStream)
+{
+    // Counts 1-9 cover a lone tail stream, one full lockstep group, and
+    // groups plus a tail.  Draw lengths cross the pre-built chain (156 +
+    // prebuilt_draws outputs), the first block's end (312) and a
+    // regenerated block.  The streams are reused across every case, so a
+    // reseed over drawn streams is exercised too.
+    std::vector<Rng> block;
+    for (std::size_t count = 1; count <= 9; ++count) {
+        block.resize(count, Rng(7));
+        for (const int length : {1, 12, 157, 313, 700}) {
+            for (int kind = 0; kind < 4; ++kind) {
+                Rng::streams(block_seed, block_first, block);
+                for (std::size_t j = 0; j < count; ++j) {
+                    Rng want = Rng::stream(block_seed, block_first + j);
+                    ASSERT_EQ(block[j].seed(), want.seed());
+                    for (int k = 0; k < length; ++k) {
+                        ASSERT_EQ(draw(block[j], kind), draw(want, kind))
+                            << "count " << count << " stream " << j
+                            << " kind " << kind << " draw " << k;
+                    }
+                }
+            }
+        }
+    }
+}
+
+TEST(RngStreams, CopiesTakenMidStreamContinueIdentically)
+{
+    std::vector<Rng> block(6, Rng(0));
+    for (const int taken_at : {0, 1, 7, 16, 17, 100, 157, 400}) {
+        Rng::streams(block_seed, block_first, block);
+        for (std::size_t j = 0; j < block.size(); ++j) {
+            Rng want = Rng::stream(block_seed, block_first + j);
+            for (int k = 0; k < taken_at; ++k) {
+                ASSERT_EQ(bits(block[j].normal()), bits(want.normal()));
+            }
+            Rng copy = block[j];
+            for (int k = 0; k < 500; ++k) {
+                const std::uint64_t expected = bits(want.normal());
+                ASSERT_EQ(bits(copy.normal()), expected)
+                    << "stream " << j << " copied at " << taken_at;
+                ASSERT_EQ(bits(block[j].normal()), expected);
+            }
+        }
+    }
+}
+
+TEST(RngStreams, ReseedingADrawnBlockCarriesNoSavedNormal)
+{
+    // An odd number of normals leaves the polar method's second value
+    // saved; the reseeded stream must start from its own first draw.
+    std::vector<Rng> block(5, Rng(0));
+    Rng::streams(block_seed, 3, block);
+    for (Rng& rng : block) (void)rng.normal();
+    Rng::streams(block_seed, block_first, block);
+    for (std::size_t j = 0; j < block.size(); ++j) {
+        Rng want = Rng::stream(block_seed, block_first + j);
+        for (int k = 0; k < 4; ++k) {
+            ASSERT_EQ(bits(block[j].normal()), bits(want.normal()))
+                << "stream " << j << " draw " << k;
+        }
+    }
+}
+
 // --- exact sequence: std::mt19937_64 is the oracle --------------------------
 
 /// Seeds the exact-sequence tests run on: fixed corner seeds plus seeds
