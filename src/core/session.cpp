@@ -389,6 +389,8 @@ Study_session::calibrate_surfaces(Metric metric,
     std::vector<sram::Write_sim_context> write_sims(
         metric == Metric::mc_twp ? workers : 0);
 
+    const extract::Wire_rc nominal_rc =
+        extractor_->wire_rc(g.nominal, g.victims.bl);
     run_indexed(
         points.size(),
         [&](std::size_t i, const Run_context& ctx) {
@@ -396,7 +398,7 @@ Study_session::calibrate_surfaces(Metric metric,
             geom::Wire_array& realized = geo_scratch[w];
             g.engine->realize_into(g.nominal, points[i], realized);
             const extract::Rc_variation v =
-                extractor_->variation(g.nominal, realized, g.victims.bl);
+                extractor_->variation(nominal_rc, realized, g.victims.bl);
             const sram::Bitline_electrical wires = sram::roll_up_bitline(
                 *extractor_, g.nominal, realized, tech_, g.cfg);
             const double t =
@@ -792,15 +794,13 @@ struct Metric_evaluators {
             const analytic::Tw_params params =
                 s.tw_formula_params(c.word_lines);
             const int n = c.word_lines;
-            const auto metric = [&params, n](const geom::Wire_array&,
-                                             const extract::Rc_variation& v,
-                                             const Run_context&) {
-                return analytic::twp_percent(params, n, v.r_factor,
-                                             v.c_factor);
-            };
-            return mc::metric_distribution(*g.engine, *s.extractor_,
-                                           g.nominal, g.victims.bl, metric,
-                                           q.mc);
+            return mc::factor_distribution(
+                *g.engine, *s.extractor_, g.nominal, g.victims.bl,
+                [&params, n](const extract::Rc_variation& v) {
+                    return analytic::twp_percent(params, n, v.r_factor,
+                                                 v.c_factor);
+                },
+                q.mc);
         }
 
         const sram::Sim_accuracy acc = s.write_accuracy(q);

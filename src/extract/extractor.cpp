@@ -65,13 +65,18 @@ Rc_variation Extractor::variation(const geom::Wire_array& nominal,
     util::expects(victim < nominal.size(), "victim index out of range");
     util::expects(nominal[victim].net == realized[victim].net,
                   "victim wire identity mismatch between arrays");
+    return variation(wire_rc(nominal, victim), realized, victim);
+}
 
-    const Wire_rc nom = wire_rc(nominal, victim);
+Rc_variation Extractor::variation(const Wire_rc& nominal_rc,
+                                  const geom::Wire_array& realized,
+                                  std::size_t victim) const
+{
     const Wire_rc real = wire_rc(realized, victim);
 
     Rc_variation v;
-    v.r_factor = real.r / nom.r;
-    v.c_factor = real.c_total() / nom.c_total();
+    v.r_factor = real.r / nominal_rc.r;
+    v.c_factor = real.c_total() / nominal_rc.c_total();
     util::ensures(v.r_factor > 0.0 && v.c_factor > 0.0,
                   "variation factors must be positive");
     return v;

@@ -68,6 +68,14 @@ public:
                            const geom::Wire_array& realized,
                            std::size_t victim) const;
 
+    /// The same factors against the nominal victim's per-length RC
+    /// (wire_rc(nominal, victim)), so a loop over realizations of one
+    /// array extracts the nominal once; `victim` indexes `realized`.
+    /// Bitwise equal to the overload above.
+    Rc_variation variation(const Wire_rc& nominal_rc,
+                           const geom::Wire_array& realized,
+                           std::size_t victim) const;
+
 private:
     tech::Beol_layer layer_;
     Extraction_options opts_;

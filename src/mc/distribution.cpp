@@ -144,6 +144,128 @@ Tdp_distribution accumulate_distribution(const Sample_eval& eval,
     return dist;
 }
 
+Sample_draws::Sample_draws(const pattern::Patterning_engine& engine,
+                           const Distribution_options& opts)
+    : engine_(engine),
+      base_seed_(util::Rng(opts.seed).child(engine.name()).seed()),
+      samples_(static_cast<std::size_t>(opts.samples)),
+      truncate_k_(opts.truncate_k),
+      blocks_(static_cast<std::size_t>(opts.runner.resolved_threads()))
+{
+    util::expects(opts.samples > 0, "sample count must be positive");
+    // Latin-hypercube stratification couples samples across the whole
+    // set, so its (cheap) sample construction stays serial.
+    if (opts.sampling == Sampling::latin_hypercube) {
+        util::Rng rng(base_seed_);
+        pregen_ = lhs_samples(engine, rng, opts);
+        return;
+    }
+    for (Stream_block& b : blocks_) {
+        b.streams.assign(util::Rng::stream_lanes, util::Rng(0));
+    }
+}
+
+const pattern::Process_sample& Sample_draws::operator()(
+    std::size_t i, const core::Run_context& ctx)
+{
+    // Substream contract: sample i draws from (base_seed, i) and nothing
+    // else, so i must stay inside the experiment.
+    MPSRAM_REQUIRE_INDEX(i, samples_);
+    if (!pregen_.empty()) return pregen_[i];
+
+    Stream_block& b = blocks_[core::checked_worker(ctx, blocks_.size())];
+    // i < first wraps to a huge lane, so it reopens too; so does a stream
+    // already drawn from.
+    std::size_t lane = i - b.first;
+    if (lane >= b.open || ((b.taken >> lane) & 1u) != 0) {
+        b.first = i;
+        b.open = std::min(b.streams.size(), samples_ - i);
+        b.taken = 0;
+        util::Rng::streams(base_seed_, i,
+                           std::span<util::Rng>(b.streams.data(), b.open));
+        lane = 0;
+    }
+    b.taken |= 1u << lane;
+    engine_.sample_gaussian_into(b.streams[lane], truncate_k_, b.sample);
+    return b.sample;
+}
+
+Victim_window victim_window(const geom::Wire_array& nominal,
+                            std::size_t victim)
+{
+    util::expects(victim < nominal.size(), "victim index out of range");
+    const auto& all = nominal.wires();
+    const std::size_t lo = victim > 0 ? victim - 1 : 0;
+    const std::size_t hi = std::min(victim + 2, all.size());
+
+    std::vector<geom::Wire> guard;
+    for (const geom::Wire& w : all) {
+        const auto same_class = [&](const geom::Wire& g) {
+            return g.color == w.color && g.sadp == w.sadp;
+        };
+        const auto it = std::find_if(guard.begin(), guard.end(), same_class);
+        if (it == guard.end()) {
+            guard.push_back(w);
+        } else if (w.width < it->width) {
+            *it = w;
+        }
+    }
+
+    Victim_window win{
+        geom::Wire_array(std::vector<geom::Wire>(
+            all.begin() + static_cast<std::ptrdiff_t>(lo),
+            all.begin() + static_cast<std::ptrdiff_t>(hi))),
+        victim - lo, geom::Wire_array(std::move(guard))};
+    util::ensures(win.wires[win.victim].net == nominal[victim].net,
+                  "victim window lost the victim wire");
+    return win;
+}
+
+namespace {
+
+/// The one sample loop of the exact samplers: draw sample i, realize the
+/// guard (if any) and `source` into per-worker scratch, extract the victim
+/// against its nominal RC, evaluate the metric.
+template <class Metric>
+Tdp_distribution sample_loop(const pattern::Patterning_engine& engine,
+                             const extract::Extractor& extractor,
+                             const geom::Wire_array& source,
+                             std::size_t victim,
+                             const geom::Wire_array& guard,
+                             const extract::Wire_rc& nominal_rc,
+                             const Metric& metric,
+                             const Distribution_options& opts)
+{
+    Sample_draws draws(engine, opts);
+
+    // Per-worker scratch: realize_into overwrites one geometry buffer per
+    // worker instead of allocating a Wire_array (nets, colors, strings)
+    // for every sample.  Worker assignment never reaches the results, so
+    // the determinism contract is untouched.
+    struct Worker_buffers {
+        geom::Wire_array realized;
+        geom::Wire_array guard;
+    };
+    std::vector<Worker_buffers> scratch(
+        static_cast<std::size_t>(opts.runner.resolved_threads()));
+
+    return accumulate_distribution(
+        [&](std::size_t i, const core::Run_context& ctx) {
+            const pattern::Process_sample& s = draws(i, ctx);
+            Worker_buffers& own =
+                scratch[core::checked_worker(ctx, scratch.size())];
+            if (!guard.empty()) engine.realize_into(guard, s, own.guard);
+            engine.realize_into(source, s, own.realized);
+            const extract::Rc_variation v =
+                extractor.variation(nominal_rc, own.realized, victim);
+            return Sample_values{metric(own.realized, v, ctx), v.r_factor,
+                                 v.c_factor};
+        },
+        opts);
+}
+
+} // namespace
+
 Tdp_distribution metric_distribution(const pattern::Patterning_engine& engine,
                                      const extract::Extractor& extractor,
                                      const geom::Wire_array& nominal,
@@ -154,54 +276,26 @@ Tdp_distribution metric_distribution(const pattern::Patterning_engine& engine,
     util::expects(opts.samples > 0, "sample count must be positive");
     util::expects(victim < nominal.size(), "victim index out of range");
     util::expects(static_cast<bool>(metric), "sample metric must be set");
+    return sample_loop(engine, extractor, nominal, victim, geom::Wire_array{},
+                       extractor.wire_rc(nominal, victim), metric, opts);
+}
 
-    // Root of this experiment's stream tree: per-sample substreams branch
-    // off (base_seed, i), so the loop body is order-independent.
-    const std::uint64_t base_seed =
-        util::Rng(opts.seed).child(engine.name()).seed();
-
-    // Latin-hypercube stratification couples samples across the whole set,
-    // so its (cheap) sample construction stays serial; only the expensive
-    // realization/extraction below is parallel.
-    std::vector<pattern::Process_sample> pregen;
-    if (opts.sampling == Sampling::latin_hypercube) {
-        util::Rng rng(base_seed);
-        pregen = lhs_samples(engine, rng, opts);
-    }
-
-    // Per-worker scratch: realize_into overwrites one geometry buffer per
-    // worker instead of allocating a Wire_array (nets, colors, strings)
-    // for every sample, and the process sample is drawn into a reused
-    // vector.  Worker assignment never reaches the results, so the
-    // determinism contract is untouched.
-    struct Worker_buffers {
-        pattern::Process_sample sample;
-        geom::Wire_array realized;
-    };
-    std::vector<Worker_buffers> scratch(
-        static_cast<std::size_t>(opts.runner.resolved_threads()));
-
-    return accumulate_distribution(
-        [&](std::size_t i, const core::Run_context& ctx) {
-            // Substream contract: sample i draws from (base_seed, i) and
-            // nothing else, so i must stay inside the experiment.
-            MPSRAM_REQUIRE_INDEX(i, static_cast<std::size_t>(opts.samples));
-            Worker_buffers& own =
-                scratch[core::checked_worker(ctx, scratch.size())];
-            const pattern::Process_sample* s = &own.sample;
-            if (opts.sampling == Sampling::latin_hypercube) {
-                s = &pregen[i];
-            } else {
-                util::Rng rng = util::Rng::stream(base_seed, i);
-                engine.sample_gaussian_into(rng, opts.truncate_k,
-                                            own.sample);
-            }
-            engine.realize_into(nominal, *s, own.realized);
-            const extract::Rc_variation v =
-                extractor.variation(nominal, own.realized, victim);
-            return Sample_values{metric(own.realized, v, ctx), v.r_factor,
-                                 v.c_factor};
-        },
+Tdp_distribution factor_distribution(const pattern::Patterning_engine& engine,
+                                     const extract::Extractor& extractor,
+                                     const geom::Wire_array& nominal,
+                                     std::size_t victim,
+                                     const Factor_metric& metric,
+                                     const Distribution_options& opts)
+{
+    util::expects(opts.samples > 0, "sample count must be positive");
+    util::expects(victim < nominal.size(), "victim index out of range");
+    util::expects(static_cast<bool>(metric), "sample metric must be set");
+    const Victim_window win = victim_window(nominal, victim);
+    return sample_loop(
+        engine, extractor, win.wires, win.victim, win.guard,
+        extractor.wire_rc(nominal, victim),
+        [&metric](const geom::Wire_array&, const extract::Rc_variation& v,
+                  const core::Run_context&) { return metric(v); },
         opts);
 }
 
@@ -212,10 +306,9 @@ Tdp_distribution tdp_distribution(const pattern::Patterning_engine& engine,
                                   const analytic::Td_params& params, int n,
                                   const Distribution_options& opts)
 {
-    return metric_distribution(
+    return factor_distribution(
         engine, extractor, nominal, victim,
-        [&](const geom::Wire_array&, const extract::Rc_variation& v,
-            const core::Run_context&) {
+        [&](const extract::Rc_variation& v) {
             return analytic::tdp_percent(params, n, v.r_factor, v.c_factor);
         },
         opts);

@@ -13,6 +13,7 @@
 #include "extract/extractor.h"
 #include "geom/wire_array.h"
 #include "pattern/engine.h"
+#include "util/rng.h"
 #include "util/stats.h"
 #include "util/token_table.h"
 
@@ -110,6 +111,45 @@ std::vector<pattern::Process_sample> lhs_samples(
     const pattern::Patterning_engine& engine, util::Rng& rng,
     const Distribution_options& opts);
 
+/// The process samples of one experiment, drawn identically by the exact
+/// and surrogate samplers: sample i is row i of the pregenerated
+/// Latin-hypercube set, or the truncated-Gaussian draw from substream
+/// (base seed, i), where the base seed is
+/// Rng(opts.seed).child(engine.name()).  Each worker opens its
+/// substreams util::Rng::stream_lanes at a time with util::Rng::streams
+/// (lockstep seeding, util/rng.h) and reopens when a sample index leaves
+/// its block, so sample i draws exactly what Rng::stream(base, i) draws,
+/// whichever worker asks and in whatever order: results depend on the
+/// index alone.
+class Sample_draws {
+public:
+    Sample_draws(const pattern::Patterning_engine& engine,
+                 const Distribution_options& opts);
+
+    /// Sample i (< opts.samples), in the calling worker's scratch; valid
+    /// until that worker's next call.
+    const pattern::Process_sample& operator()(std::size_t i,
+                                              const core::Run_context& ctx);
+
+private:
+    /// One worker's open block: substreams [first, first + open) of the
+    /// experiment, and which of them it has handed out.
+    struct Stream_block {
+        std::vector<util::Rng> streams;
+        std::size_t first = 0;
+        std::size_t open = 0;
+        unsigned taken = 0;
+        pattern::Process_sample sample;
+    };
+
+    const pattern::Patterning_engine& engine_;
+    std::uint64_t base_seed_;
+    std::size_t samples_;
+    double truncate_k_;
+    std::vector<pattern::Process_sample> pregen_;
+    std::vector<Stream_block> blocks_;
+};
+
 /// The accumulation machinery shared by the exact samplers above and the
 /// surrogate tier (mc/surrogate.h): evaluates `eval(i, ctx)` for every
 /// sample index on `opts.runner` and produces the distribution — stored
@@ -122,7 +162,9 @@ Tdp_distribution accumulate_distribution(const Sample_eval& eval,
 /// Generalized Monte-Carlo sampler: one metric value per process sample,
 /// sharing the pseudo-random / Latin-hypercube sampling machinery and the
 /// per-worker geometry scratch across every workload.  `nominal` must be
-/// decomposed by the engine.  Sample i draws from the counter-based
+/// decomposed by the engine.  Each sample realizes the whole array (the
+/// SPICE metrics read it) and extracts the victim against its nominal
+/// Wire_rc, computed once.  Sample i draws from the counter-based
 /// substream (seed, i), so the result is bitwise identical at any thread
 /// count.
 Tdp_distribution metric_distribution(const pattern::Patterning_engine& engine,
@@ -132,8 +174,48 @@ Tdp_distribution metric_distribution(const pattern::Patterning_engine& engine,
                                      const Sample_metric& metric,
                                      const Distribution_options& opts);
 
+/// A metric of the victim's R/C variation factors alone (the analytic
+/// td / tw formulas).
+using Factor_metric = std::function<double(const extract::Rc_variation&)>;
+
+/// The formula tier: metric_distribution for a metric that never reads
+/// the realized geometry, bitwise equal to it, at the cost of the victim
+/// rather than the array.
+///
+/// Victim window.  The victim's R/C reads only its own width and its
+/// spacings to its two neighbours, and every engine realizes each wire
+/// from its own drawn geometry, mask colour and SADP class alone.  So
+/// each sample realizes a sub-array built once per distribution — the
+/// victim and its neighbours, an edge victim still an edge — and
+/// extracts it against the nominal victim's Wire_rc, computed once.
+///
+/// Guard.  A sample that pinches any wire of the full array off must
+/// still throw the engine's error.  Every engine's pinch test is
+/// fl(w + d) > 0 with d fixed by the wire's mask colour and SADP class
+/// (for an SADP gap line, w - fl(dcd + 2 dsp)), which is monotone in the
+/// drawn width w.  So each sample first realizes a guard sub-array of one
+/// minimum-width wire per (mask colour, SADP class): it throws exactly
+/// when some wire of the full array would, with the same error.
+Tdp_distribution factor_distribution(const pattern::Patterning_engine& engine,
+                                     const extract::Extractor& extractor,
+                                     const geom::Wire_array& nominal,
+                                     std::size_t victim,
+                                     const Factor_metric& metric,
+                                     const Distribution_options& opts);
+
+/// The formula tier's per-distribution geometry (factor_distribution).
+struct Victim_window {
+    geom::Wire_array wires;  ///< the victim and its neighbours
+    std::size_t victim = 0;  ///< the victim's index in `wires`
+    geom::Wire_array guard;  ///< one minimum-width wire per class
+};
+
+/// The victim window and pinch guard of a decomposed array.
+Victim_window victim_window(const geom::Wire_array& nominal,
+                            std::size_t victim);
+
 /// Run the Monte-Carlo read study for one option at array length n: the
-/// generalized sampler with the analytic tdp formula as the metric.
+/// formula tier with the analytic tdp formula as the metric.
 Tdp_distribution tdp_distribution(const pattern::Patterning_engine& engine,
                                   const extract::Extractor& extractor,
                                   const geom::Wire_array& nominal,

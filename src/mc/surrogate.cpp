@@ -20,42 +20,18 @@ Tdp_distribution surrogate_distribution(
     util::expects(surfaces.metric.dimension() == engine.axes().size(),
                   "surrogate surface dimension must match the engine axes");
 
-    // Identical stream derivation to metric_distribution: sample i of a
-    // given seed draws the same process sample under either engine tier.
-    const std::uint64_t base_seed =
-        util::Rng(opts.seed).child(engine.name()).seed();
-
-    std::vector<pattern::Process_sample> pregen;
-    if (opts.sampling == Sampling::latin_hypercube) {
-        util::Rng rng(base_seed);
-        pregen = lhs_samples(engine, rng, opts);
-    }
-
-    // The exact engines keep per-worker geometry scratch here; the
-    // surrogate's "scratch" is one Process_sample per worker, reused so
-    // the hot loop never allocates.
-    std::vector<pattern::Process_sample> scratch(
-        static_cast<std::size_t>(opts.runner.resolved_threads()));
-
+    // The exact tiers' draws: sample i of a given seed draws the same
+    // process sample under either engine tier.
+    Sample_draws draws(engine, opts);
     const bool fill_factors = opts.store_samples;
     return accumulate_distribution(
         [&](std::size_t i, const core::Run_context& ctx) {
-            MPSRAM_REQUIRE_INDEX(i, static_cast<std::size_t>(opts.samples));
-            const pattern::Process_sample* s = nullptr;
-            if (opts.sampling == Sampling::latin_hypercube) {
-                s = &pregen[i];
-            } else {
-                pattern::Process_sample& own =
-                    scratch[core::checked_worker(ctx, scratch.size())];
-                util::Rng rng = util::Rng::stream(base_seed, i);
-                engine.sample_gaussian_into(rng, opts.truncate_k, own);
-                s = &own;
-            }
+            const pattern::Process_sample& s = draws(i, ctx);
             Sample_values v;
-            v.metric = surfaces.metric.value(*s);
+            v.metric = surfaces.metric.value(s);
             if (fill_factors) {
-                v.rvar = surfaces.rvar.value(*s);
-                v.cvar = surfaces.cvar.value(*s);
+                v.rvar = surfaces.rvar.value(s);
+                v.cvar = surfaces.cvar.value(s);
             }
             return v;
         },
