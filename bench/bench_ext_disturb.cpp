@@ -22,6 +22,7 @@
 #include <vector>
 
 #include "bench_driver.h"
+#include "cli_args.h"
 #include "core/session.h"
 #include "sram/bitline_model.h"
 #include "sram/disturb_sim.h"
@@ -32,11 +33,9 @@ int main(int argc, char** argv)
 {
     using namespace mpsram;
 
-    const int max_n = argc > 1 ? std::atoi(argv[1]) : 256;
-    if (max_n < 16) {
-        std::cerr << "usage: bench_ext_disturb [max_word_lines>=16]\n";
-        return 2;
-    }
+    const int max_n =
+        argc > 1 ? cli::number("max_word_lines", argv[1], 16, 1 << 16)
+                 : 256;
 
     std::vector<int> sizes;
     for (const int n : {16, 64, 256}) {

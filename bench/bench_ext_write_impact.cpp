@@ -25,6 +25,7 @@
 #include <vector>
 
 #include "bench_driver.h"
+#include "cli_args.h"
 #include "core/session.h"
 #include "sram/write_sim.h"
 #include "util/table.h"
@@ -34,11 +35,9 @@ int main(int argc, char** argv)
 {
     using namespace mpsram;
 
-    const int max_n = argc > 1 ? std::atoi(argv[1]) : 256;
-    if (max_n < 16) {
-        std::cerr << "usage: bench_ext_write_impact [max_word_lines>=16]\n";
-        return 2;
-    }
+    const int max_n =
+        argc > 1 ? cli::number("max_word_lines", argv[1], 16, 1 << 16)
+                 : 256;
 
     std::vector<int> sizes;
     for (const int n : {16, 64, 256}) {

@@ -35,6 +35,7 @@
 #include <vector>
 
 #include "bench_driver.h"
+#include "cli_args.h"
 #include "core/session.h"
 #include "mc/surrogate.h"
 #include "pattern/engine.h"
@@ -125,12 +126,10 @@ double timed(const std::function<void()>& work)
 
 int main(int argc, char** argv)
 {
-    const long samples = argc > 1 ? std::atol(argv[1]) : 1000000;
-    const int spice_samples = argc > 2 ? std::atoi(argv[2]) : 500;
-    if (samples <= 0 || spice_samples <= 1) {
-        std::cerr << "usage: bench_ext_yield [samples>0] [spice_samples>1]\n";
-        return 2;
-    }
+    const long samples =
+        argc > 1 ? cli::number("samples", argv[1], 1L, 1L << 34) : 1000000;
+    const int spice_samples =
+        argc > 2 ? cli::number("spice_samples", argv[2], 2, 1 << 20) : 500;
     constexpr int n = 64;
     const int hw = util::Thread_pool::hardware_threads();
     // The speedup gate only binds once the calibration wall amortizes.

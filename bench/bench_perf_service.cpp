@@ -29,6 +29,7 @@
 #include <vector>
 
 #include "bench_driver.h"
+#include "cli_args.h"
 #include "core/serialize.h"
 #include "core/service.h"
 #include "core/session.h"
@@ -74,11 +75,9 @@ int main(int argc, char** argv)
 {
     using namespace mpsram;
 
-    const int max_n = argc > 1 ? std::atoi(argv[1]) : 64;
-    if (max_n < 16) {
-        std::cerr << "usage: bench_perf_service [max_word_lines>=16]\n";
-        return 2;
-    }
+    const int max_n =
+        argc > 1 ? cli::number("max_word_lines", argv[1], 16, 1 << 16)
+                 : 64;
 
     std::vector<int> sizes;
     for (const int n : {16, 24, 32, 48, 64, 96, 128}) {

@@ -26,6 +26,7 @@
 #include <vector>
 
 #include "bench_driver.h"
+#include "cli_args.h"
 #include "core/session.h"
 #include "sram/bitline_model.h"
 #include "sram/read_sim.h"
@@ -146,11 +147,9 @@ bool policy_deterministic(spice::Solver_policy policy)
 
 int main(int argc, char** argv)
 {
-    const int max_n = argc > 1 ? std::atoi(argv[1]) : 1024;
-    if (max_n < 256) {
-        std::cerr << "usage: bench_perf_solver [max_word_lines>=256]\n";
-        return 2;
-    }
+    const int max_n =
+        argc > 1 ? cli::number("max_word_lines", argv[1], 256, 1 << 16)
+                 : 1024;
 
     std::vector<int> matrix_sizes;
     for (const int n : {256, 1024, 4096, 8192}) {

@@ -20,6 +20,7 @@
 #include <vector>
 
 #include "bench_driver.h"
+#include "cli_args.h"
 #include "core/session.h"
 #include "sram/bitline_model.h"
 #include "util/thread_pool.h"
@@ -28,11 +29,9 @@ int main(int argc, char** argv)
 {
     using namespace mpsram;
 
-    const int max_n = argc > 1 ? std::atoi(argv[1]) : 128;
-    if (max_n < 16) {
-        std::cerr << "usage: bench_perf_spice [max_word_lines>=16]\n";
-        return 2;
-    }
+    const int max_n =
+        argc > 1 ? cli::number("max_word_lines", argv[1], 16, 1 << 16)
+                 : 128;
 
     // Fig. 4's geometric size progression, densified so the plan has more
     // jobs than typical core counts, capped at max_n.

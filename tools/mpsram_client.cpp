@@ -26,6 +26,7 @@
 #include <string>
 #include <vector>
 
+#include "cli_args.h"
 #include "core/csv.h"
 #include "core/serialize.h"
 #include "core/service.h"
@@ -43,45 +44,6 @@ using namespace mpsram;
               << "subcommands: query | status | cache-stats | shutdown "
                  "(see the header comment)\n";
     std::exit(2);
-}
-
-struct Args {
-    std::vector<std::pair<std::string, std::string>> flags;
-
-    std::optional<std::string> get(const std::string& name) const
-    {
-        for (const auto& flag : flags) {
-            if (flag.first == name) return flag.second;
-        }
-        return std::nullopt;
-    }
-    std::string require(const std::string& name) const
-    {
-        const auto v = get(name);
-        if (!v) usage("missing required flag --" + name);
-        return *v;
-    }
-    bool has(const std::string& name) const
-    {
-        return get(name).has_value();
-    }
-};
-
-Args parse_args(int argc, char** argv, int first)
-{
-    Args args;
-    for (int i = first; i < argc; ++i) {
-        const std::string arg = argv[i];
-        if (arg.rfind("--", 0) != 0) usage("unexpected argument '" + arg + "'");
-        const std::string name = arg.substr(2);
-        if (name == "expect-warm") {
-            args.flags.emplace_back(name, "1");
-            continue;
-        }
-        if (i + 1 >= argc) usage("flag --" + name + " needs a value");
-        args.flags.emplace_back(name, argv[++i]);
-    }
-    return args;
 }
 
 std::string slurp(const std::string& path)
@@ -142,7 +104,7 @@ const util::Json& check_ok(const util::Json& response)
     std::exit(1);
 }
 
-int cmd_query(const std::string& socket_path, const Args& args)
+int cmd_query(const std::string& socket_path, const cli::Args& args)
 {
     util::Json request = request_of("query");
     request.set("query", util::Json::parse(slurp(args.require("query"))));
@@ -177,7 +139,7 @@ int cmd_query(const std::string& socket_path, const Args& args)
 }
 
 int cmd_payload(const std::string& socket_path, const std::string& op,
-                const std::string& payload_key, const Args& args)
+                const std::string& payload_key, const cli::Args& args)
 {
     const util::Json response =
         check_ok(round_trip(socket_path, request_of(op)));
@@ -185,7 +147,7 @@ int cmd_payload(const std::string& socket_path, const std::string& op,
     return 0;
 }
 
-int cmd_shutdown(const std::string& socket_path, const Args& args)
+int cmd_shutdown(const std::string& socket_path, const cli::Args& args)
 {
     const util::Json response =
         check_ok(round_trip(socket_path, request_of("shutdown")));
@@ -199,7 +161,11 @@ int main(int argc, char** argv)
 {
     if (argc < 2) usage("missing subcommand");
     const std::string command = argv[1];
-    const Args args = parse_args(argc, argv, 2);
+    const cli::Args args =
+        cli::parse_args(argc, argv, 2, usage, {"expect-warm"});
+    if (!args.positional.empty()) {
+        usage("unexpected argument '" + args.positional.front() + "'");
+    }
     try {
         const std::string socket_path = args.require("socket");
         if (command == "query") return cmd_query(socket_path, args);

@@ -21,17 +21,21 @@
 //   --memo-entries    result-memo bound (LRU eviction; 0 disables)
 //   --poll-ms         idle poll tick of the serve loop
 //
+// Numeric values must be whole integers inside the flag's range
+// (tools/cli_args.h); anything else exits 2 naming the flag, the value
+// and the range, before a session or a socket exists.
+//
 // Exit status: 0 after a graceful shutdown drain; nonzero when the
 // socket cannot be bound (including when another daemon is already
 // listening on the path — a live daemon is never usurped).  Protocol
 // errors never terminate the daemon.
 
+#include <cstddef>
 #include <cstdlib>
 #include <iostream>
-#include <optional>
 #include <string>
-#include <vector>
 
+#include "cli_args.h"
 #include "core/service.h"
 #include "core/session.h"
 
@@ -48,64 +52,31 @@ using namespace mpsram;
     std::exit(2);
 }
 
-struct Args {
-    std::vector<std::pair<std::string, std::string>> flags;
-
-    std::optional<std::string> get(const std::string& name) const
-    {
-        for (const auto& flag : flags) {
-            if (flag.first == name) return flag.second;
-        }
-        return std::nullopt;
-    }
-    std::string require(const std::string& name) const
-    {
-        const auto v = get(name);
-        if (!v) usage("missing required flag --" + name);
-        return *v;
-    }
-};
-
-Args parse_args(int argc, char** argv)
-{
-    Args args;
-    for (int i = 1; i < argc; ++i) {
-        const std::string arg = argv[i];
-        if (arg.rfind("--", 0) != 0) usage("unexpected argument '" + arg + "'");
-        const std::string name = arg.substr(2);
-        if (i + 1 >= argc) usage("flag --" + name + " needs a value");
-        args.flags.emplace_back(name, argv[++i]);
-    }
-    return args;
-}
-
 } // namespace
 
 int main(int argc, char** argv)
 {
-    const Args args = parse_args(argc, argv);
+    const cli::Args args = cli::parse_args(argc, argv, 1, usage);
+    if (!args.positional.empty()) {
+        usage("unexpected argument '" + args.positional.front() + "'");
+    }
+    // Every value is checked before the session, the socket or a worker
+    // pool exists.
+    core::Service_options opts;
+    opts.socket_path = args.require("socket");
+    opts.runner.threads =
+        args.number("threads", 0, cli::max_threads, opts.runner.threads);
+    opts.max_pending = args.number<std::size_t>("max-pending", 1, 1u << 20,
+                                                opts.max_pending);
+    opts.max_clients = args.number<std::size_t>("max-clients", 1, 1u << 16,
+                                                opts.max_clients);
+    opts.max_line_bytes = args.number<std::size_t>(
+        "max-line-bytes", 1, std::size_t{1} << 30, opts.max_line_bytes);
+    opts.max_memo_entries = args.number<std::size_t>(
+        "memo-entries", 0, 1u << 24, opts.max_memo_entries);
+    opts.poll_interval_ms =
+        args.number("poll-ms", 1, 60000, opts.poll_interval_ms);
     try {
-        core::Service_options opts;
-        opts.socket_path = args.require("socket");
-        if (const auto t = args.get("threads")) {
-            opts.runner.threads = std::stoi(*t);
-        }
-        if (const auto n = args.get("max-pending")) {
-            opts.max_pending = std::stoul(*n);
-        }
-        if (const auto n = args.get("max-clients")) {
-            opts.max_clients = std::stoul(*n);
-        }
-        if (const auto n = args.get("max-line-bytes")) {
-            opts.max_line_bytes = std::stoul(*n);
-        }
-        if (const auto n = args.get("memo-entries")) {
-            opts.max_memo_entries = std::stoul(*n);
-        }
-        if (const auto n = args.get("poll-ms")) {
-            opts.poll_interval_ms = std::stoi(*n);
-        }
-
         const core::Study_session session;
         core::Query_service service(session, opts);
         std::cerr << "mpsram_serve: listening on " << opts.socket_path

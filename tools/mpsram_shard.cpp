@@ -31,6 +31,10 @@
 //       first until the survivors fit (core::gc_result_cache).  Prints
 //       the sweep stats as JSON.
 //
+// Numeric flags are read whole and range-checked (tools/cli_args.h):
+// `--word-lines 16abc`, `--samples 2.5e4`, `--seed -1` or
+// `--threads 100000` exits 2 naming the flag, the value and the range.
+//
 // The merged output of exec/merge is byte-stable: `cmp` of k=1/2/4 runs
 // is the CI gate for the shard-merge determinism contract.
 
@@ -47,6 +51,7 @@
 #include <sys/wait.h>
 #include <unistd.h>
 
+#include "cli_args.h"
 #include "core/csv.h"
 #include "core/query.h"
 #include "core/result_cache.h"
@@ -62,6 +67,12 @@
 namespace {
 
 using namespace mpsram;
+
+/// Ranges of the numeric flags.  Values outside them, or not whole
+/// numbers, exit 2 naming the flag and the range (tools/cli_args.h).
+constexpr int max_word_lines = 1 << 16;  // 0: the session default
+constexpr int max_samples = 1 << 30;
+constexpr std::size_t max_shards = 64;
 
 /// The CLI's own lowercase spelling of the options (the query JSON
 /// carries the paper's labels); never accepted by the query decoder.
@@ -102,50 +113,6 @@ E flag_token(const std::string& flag, const std::string& text,
           tokens.accepted() + ")");
 }
 
-/// Minimal flag scanner: --name value pairs plus positional leftovers.
-struct Args {
-    std::vector<std::pair<std::string, std::string>> flags;
-    std::vector<std::string> positional;
-
-    std::optional<std::string> get(const std::string& name) const
-    {
-        for (const auto& flag : flags) {
-            if (flag.first == name) return flag.second;
-        }
-        return std::nullopt;
-    }
-    std::string require(const std::string& name) const
-    {
-        const auto v = get(name);
-        if (!v) usage("missing required flag --" + name);
-        return *v;
-    }
-    bool has(const std::string& name) const
-    {
-        return get(name).has_value();
-    }
-};
-
-Args parse_args(int argc, char** argv, int first)
-{
-    Args args;
-    for (int i = first; i < argc; ++i) {
-        const std::string arg = argv[i];
-        if (arg.rfind("--", 0) == 0) {
-            const std::string name = arg.substr(2);
-            if (name == "expect-warm") {
-                args.flags.emplace_back(name, "1");
-                continue;
-            }
-            if (i + 1 >= argc) usage("flag --" + name + " needs a value");
-            args.flags.emplace_back(name, argv[++i]);
-        } else {
-            args.positional.push_back(arg);
-        }
-    }
-    return args;
-}
-
 std::vector<std::string> split_list(const std::string& text)
 {
     std::vector<std::string> out;
@@ -177,17 +144,17 @@ void write_out(const std::optional<std::string>& path,
     if (!out) usage("cannot write '" + *path + "'");
 }
 
-int cmd_emit(const Args& args)
+int cmd_emit(const cli::Args& args)
 {
     core::Query query(
         flag_token("metric", args.require("metric"), core::metric_tokens));
 
     std::vector<int> word_lines;
     for (const std::string& n : split_list(args.require("word-lines"))) {
-        word_lines.push_back(std::stoi(n));
+        word_lines.push_back(
+            cli::number("--word-lines", n, 0, max_word_lines, usage));
     }
-    const double ol =
-        args.get("ol") ? std::stod(*args.get("ol")) : -1.0;
+    const double ol = args.number("ol", -1.0, 1e-6, -1.0);
     for (const std::string& opt : split_list(args.require("options"))) {
         for (const int n : word_lines) {
             query.cases.push_back(
@@ -202,12 +169,10 @@ int cmd_emit(const Args& args)
     if (const auto s = args.get("solver")) {
         query.solver = flag_token("solver", *s, sram::solver_policy_tokens);
     }
-    if (const auto n = args.get("samples")) {
-        query.mc.samples = std::stoi(*n);
-    }
-    if (const auto s = args.get("seed")) {
-        query.mc.seed = std::stoull(*s);
-    }
+    query.mc.samples =
+        args.number("samples", 1, max_samples, query.mc.samples);
+    query.mc.seed = args.number<std::uint64_t>(
+        "seed", 0, ~std::uint64_t{0}, query.mc.seed);
     if (const auto e = args.get("tdp-engine")) {
         query.tdp_engine =
             flag_token("tdp-engine", *e, core::tdp_engine_tokens);
@@ -221,12 +186,19 @@ int cmd_emit(const Args& args)
     return 0;
 }
 
-core::Query load_query(const Args& args)
+/// --count: shard processes to fork (each a fresh session).
+std::size_t shard_count(const cli::Args& args)
+{
+    return cli::number<std::size_t>("--count", args.require("count"), 1,
+                                     max_shards, usage);
+}
+
+core::Query load_query(const cli::Args& args)
 {
     core::Query query = core::query_of_json(
         util::Json::parse(slurp(args.require("query"))));
-    if (const auto t = args.get("threads")) {
-        query.runner.threads = std::stoi(*t);
+    if (args.has("threads")) {
+        query.runner.threads = args.number("threads", 0, cli::max_threads, 1);
         query.mc.runner.threads = query.runner.threads;
     }
     return query;
@@ -259,14 +231,12 @@ core::Shard_part run_one_shard(const core::Query& query, std::size_t index,
     return part;
 }
 
-int cmd_run(const Args& args)
+int cmd_run(const cli::Args& args)
 {
     const core::Query query = load_query(args);
-    const auto index =
-        static_cast<std::size_t>(std::stoul(args.require("shard")));
-    const auto count =
-        static_cast<std::size_t>(std::stoul(args.require("count")));
-    if (index >= count) usage("--shard must be < --count");
+    const auto count = shard_count(args);
+    const auto index = cli::number<std::size_t>(
+        "--shard", args.require("shard"), 0, count - 1, usage);
 
     const core::Shard_part part =
         run_one_shard(query, index, count, args.has("expect-warm"));
@@ -274,7 +244,7 @@ int cmd_run(const Args& args)
     return 0;
 }
 
-int cmd_merge(const Args& args)
+int cmd_merge(const cli::Args& args)
 {
     const core::Query query = load_query(args);
     const core::Study_session session;
@@ -301,11 +271,12 @@ int cmd_merge(const Args& args)
     return 0;
 }
 
-int cmd_cache_gc(const Args& args)
+int cmd_cache_gc(const cli::Args& args)
 {
     core::Gc_options options;
-    if (const auto n = args.get("max-bytes")) {
-        options.max_bytes = std::stoull(*n);
+    if (args.has("max-bytes")) {
+        options.max_bytes = args.number<std::uint64_t>(
+            "max-bytes", 0, ~std::uint64_t{0}, 0);
     }
     const core::Gc_stats stats =
         core::gc_result_cache(args.require("dir"), options);
@@ -321,12 +292,10 @@ int cmd_cache_gc(const Args& args)
     return 0;
 }
 
-int cmd_exec(const Args& args)
+int cmd_exec(const cli::Args& args)
 {
     const core::Query query = load_query(args);
-    const auto count =
-        static_cast<std::size_t>(std::stoul(args.require("count")));
-    if (count == 0) usage("--count must be positive");
+    const auto count = shard_count(args);
     const std::string out = args.require("out");
     const bool expect_warm = args.has("expect-warm");
 
@@ -392,7 +361,8 @@ int main(int argc, char** argv)
 {
     if (argc < 2) usage("missing subcommand");
     const std::string command = argv[1];
-    const Args args = parse_args(argc, argv, 2);
+    const cli::Args args =
+        cli::parse_args(argc, argv, 2, usage, {"expect-warm"});
     try {
         if (command == "emit") return cmd_emit(args);
         if (command == "run") return cmd_run(args);
