@@ -24,11 +24,12 @@
 // (~6 cycles a word), not its throughput.  Rng::streams opens
 // Rng::stream_lanes consecutive substreams at once and builds their
 // independent chains interleaved in one loop, so the latency is paid once
-// per group instead of once per stream (measured: one stream's chain
-// 330-390 ns alone, 110-135 ns at 4 lanes).  Each chain is pre-built to
-// 156 + Rng::prebuilt_draws words, the chain a stream needs for its first
-// prebuilt_draws outputs; a stream that draws more extends it lazily,
-// exactly as a stream opened alone does.
+// per group instead of once per stream (a 172-word chain, 4-core x86-64
+// Xeon VM: 370-400 ns alone, 115-140 ns per stream at 4 lanes).  Each
+// chain is pre-built to 156 + Rng::prebuilt_draws words, the chain a
+// stream needs for its first prebuilt_draws outputs; a stream that draws
+// more extends it lazily, exactly as a stream opened alone does.
+//
 // Constructing an Rng only to read seed() (Rng(seed).child(name).seed())
 // touches one state word.
 //
