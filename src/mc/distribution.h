@@ -141,6 +141,7 @@ private:
         unsigned taken = 0;
         pattern::Process_sample sample;
     };
+    static_assert(util::Rng::stream_lanes <= 32, "`taken` is 32 bits");
 
     const pattern::Patterning_engine& engine_;
     std::uint64_t base_seed_;

@@ -4,7 +4,6 @@
 #include <cmath>
 #include <numeric>
 
-#include "util/check.h"
 #include "util/contracts.h"
 #include "util/numeric.h"
 #include "util/rng.h"
